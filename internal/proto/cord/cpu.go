@@ -31,10 +31,6 @@ type cpu struct {
 	// buf is the reusable fan-out scratch passed to core emit rules.
 	buf []core.Msg
 
-	// blocked is the re-check continuation of a stalled op (at most one op
-	// is in flight per core).
-	blocked func()
-
 	occCnt     *stats.Occupancy
 	occUnacked *stats.Occupancy
 
@@ -52,15 +48,10 @@ type cpu struct {
 	// which remain source-ordered under CORD (§4.4).
 	wbPending int
 	wbNextTag uint64
-	// atomicWait holds cores blocked on far-atomic value responses.
-	atomicWait map[uint64]func()
-	atomicTag  uint64
+	atomicTag uint64
 	// relIssued records each epoch's Release issue time for the
 	// release-latency distribution.
 	relIssued map[uint64]sim.Time
-	// InjectedWBBarriers counts §4.4 barrier injections before Release
-	// write-back stores.
-	InjectedWBBarriers int
 }
 
 func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, cp core.CordParams) *cpu {
@@ -72,11 +63,9 @@ func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, c
 		tiles:      nc.TilesPerHost,
 		occCnt:     stats.NewOccupancy("proc/store-counter", procCntEntryBytes),
 		occUnacked: stats.NewOccupancy("proc/unacked-epoch", procUnackedEntryBytes),
-		atomicWait: make(map[uint64]func()),
 		relIssued:  make(map[uint64]sim.Time),
 	}
-	c.InitBase(sys, id, ps)
-	c.Exec = c.exec
+	c.InitBase(sys, id, ps, c)
 	c.occCnt.Instance = id.String()
 	c.occUnacked.Instance = id.String()
 	sys.Run.Tables = append(sys.Run.Tables, c.occCnt, c.occUnacked)
@@ -89,6 +78,39 @@ func (c *cpu) ix(id noc.NodeID) int { return id.Host*c.tiles + id.Tile }
 // dirAt is ix's inverse for directories.
 func (c *cpu) dirAt(ix int) noc.NodeID { return noc.DirID(ix/c.tiles, ix%c.tiles) }
 
+// Conditions a CORD core blocks on. Except for an ordered atomic's epoch,
+// the blocked op is re-executed from the top once its condition clears.
+const (
+	// waitProvision: a release bound for directory Arg is provisioned.
+	waitProvision = proto.WaitProto + iota
+	// waitEpoch: epoch Arg is fully acknowledged.
+	waitEpoch
+	// waitUnackedOutside: no release is unacknowledged at a directory other
+	// than Arg (the NoNotifications drain).
+	waitUnackedOutside
+	// waitAllAcked: every release epoch is acknowledged.
+	waitAllAcked
+	// waitWBAcked: every write-back store is acknowledged.
+	waitWBAcked
+)
+
+// Ready implements proto.Adapter.
+func (c *cpu) Ready(w proto.Wait) bool {
+	switch w.On {
+	case waitProvision:
+		return c.st.Provisioned(c.cp, int(w.Arg))
+	case waitEpoch:
+		return !c.st.EpochLive(w.Arg)
+	case waitUnackedOutside:
+		return !c.st.UnackedOutside(int(w.Arg))
+	case waitAllAcked:
+		return len(c.st.Unacked) == 0
+	case waitWBAcked:
+		return c.wbPending == 0
+	}
+	panic(fmt.Sprintf("cord: unknown wait %d", w.On))
+}
+
 func (c *cpu) handle(_ noc.NodeID, payload any) {
 	switch m := payload.(type) {
 	case *proto.LoadResp:
@@ -96,20 +118,27 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	case *ackMsg:
 		c.onAck(m)
 	case *wbAckMsg:
-		c.onWBAck(m)
+		if c.wbPending == 0 {
+			panic("cord: spurious write-back ack")
+		}
+		c.wbPending--
+		c.Wake()
 	case *atomicRespMsg:
-		c.onAtomicResp(m)
+		if !c.Respond(m.Tag) {
+			panic("cord: unknown atomic response tag")
+		}
 	default:
 		panic(fmt.Sprintf("cord: cpu %v got unexpected message %T", c.ID, payload))
 	}
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+// Exec implements proto.Adapter.
+func (c *cpu) Exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
-		c.execAtomic(op, next)
+		c.execAtomic(op)
 	case proto.OpStoreWB:
-		c.execWriteBack(op, next)
+		c.execWriteBack(op)
 	case proto.OpStoreWT:
 		ord := op.Ord
 		if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
@@ -118,16 +147,13 @@ func (c *cpu) exec(op proto.Op, next func()) {
 			ord = proto.Release
 		}
 		if ord == proto.Release {
-			c.execRelease(op, next)
+			c.execRelease(op)
 		} else {
-			c.execRelaxed(op, next)
+			c.execRelaxed(op)
 		}
 	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			c.execBarrier(next)
-		default:
-			next()
+		if (op.Ord != proto.Release && op.Ord != proto.SeqCst) || c.barrier() {
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("cord: unexpected op %v", op))
@@ -136,23 +162,14 @@ func (c *cpu) exec(op proto.Op, next func()) {
 
 // --- Relaxed path (Alg. 1 lines 1-4) -------------------------------------
 
-func (c *cpu) execRelaxed(op proto.Op, next func()) {
+func (c *cpu) execRelaxed(op proto.Op) {
 	if c.wcValid && c.wcAddr == op.Addr {
 		// Write-combined with the previous Relaxed store.
-		next()
+		c.Retire()
 		return
 	}
 	d := c.Sys.Map.HomeOf(op.Addr)
-	switch c.st.RelaxedAdmit(c.cp, c.ix(d)) {
-	case core.AdmitOverflow:
-		// Store-counter overflow (§4.1): flush — inject an empty Release to
-		// d and stall until it is acknowledged, resetting the counter.
-		c.flushThen(d, stats.StallOverflow, func() { c.execRelaxed(op, next) })
-		return
-	case core.AdmitTableFull:
-		// Processor store-counter table overflow (§4.3): tracking a new
-		// directory needs a table entry; flush the epoch to recycle them all.
-		c.flushThen(d, stats.StallTableFull, func() { c.execRelaxed(op, next) })
+	if !c.admitRelaxed(d) {
 		return
 	}
 	ep, newEntry := c.st.NoteRelaxed(c.ix(d))
@@ -163,51 +180,66 @@ func (c *cpu) execRelaxed(op proto.Op, next func()) {
 	c.Sys.Net.Send(c.ID, d, stats.ClassRelaxedData,
 		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
 		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value, Size: op.Size})
-	next()
+	c.Retire()
 }
 
-// flushThen performs an empty Release to dir d (full Release semantics so
-// every pending directory's tables are finalized), stalls the core until it
-// is acknowledged, then resumes.
-func (c *cpu) flushThen(d noc.NodeID, kind stats.StallKind, resume func()) {
-	if !c.st.Provisioned(c.cp, c.ix(d)) {
-		c.stallProvision(d, func() { c.flushThen(d, kind, resume) })
-		return
+// admitRelaxed reports whether a relaxed store or atomic to directory d can
+// be counted in the current epoch. If not, it flushes: it injects an empty
+// Release to d (full Release semantics, so every pending directory's tables
+// are finalized) and blocks the core until that is acknowledged, and the op
+// re-executes in the new epoch. Acknowledgments never change the store
+// counters, so a re-execution after a provisioning stall reaches the same
+// verdict.
+func (c *cpu) admitRelaxed(d noc.NodeID) bool {
+	var kind stats.StallKind
+	switch c.st.RelaxedAdmit(c.cp, c.ix(d)) {
+	case core.AdmitOK:
+		return true
+	case core.AdmitOverflow:
+		// Store-counter overflow (§4.1).
+		kind = stats.StallOverflow
+	case core.AdmitTableFull:
+		// Processor store-counter table overflow (§4.3): tracking a new
+		// directory needs a table entry; flush the epoch to recycle them all.
+		kind = stats.StallTableFull
+	}
+	if !c.provisioned(c.ix(d)) {
+		return false
 	}
 	c.OverflowFlushes++
-	flushOp := proto.Op{Kind: proto.OpStoreWT, Ord: proto.Release, Size: 0}
-	c.issueRelease(flushOp, d, func() {
-		flushedEp := c.st.Ep - 1
-		c.stallWhile(func() bool { return c.st.EpochLive(flushedEp) }, kind, resume)
-	})
+	c.issueRelease(proto.Op{Kind: proto.OpStoreWT, Ord: proto.Release, Size: 0}, d)
+	c.Block(proto.Wait{On: waitEpoch, Arg: c.st.Ep - 1, Stall: kind})
+	return false
 }
 
 // --- Release path (Alg. 1 lines 5-13) -------------------------------------
 
-func (c *cpu) execRelease(op proto.Op, next func()) {
+func (c *cpu) execRelease(op proto.Op) {
 	d := c.Sys.Map.HomeOf(op.Addr)
 	di := c.ix(d)
-	if !c.st.Provisioned(c.cp, di) {
-		c.stallProvision(d, func() { c.execRelease(op, next) })
+	if !c.provisioned(di) {
 		return
 	}
 	if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
 		// Ablation: without inter-directory notifications, multi-directory
 		// epochs are source-ordered — drain other directories first.
-		c.execBarrierExcept(di, func() { c.execRelease(op, next) })
+		c.drainOthers(di)
 		return
 	}
-	c.issueRelease(op, d, next)
+	c.issueRelease(op, d)
+	c.Retire()
 }
 
-// execBarrierExcept drains every directory except index `except`: empty
-// Releases to dirty ones (core.IssueBarrier in drain mode, sharing the
-// current epoch), then a stall for all outstanding acknowledgments not
-// bound for it. Used only by the NoNotifications ablation.
-func (c *cpu) execBarrierExcept(except int, next func()) {
+// drainOthers drains every directory except index `except`: empty Releases
+// to dirty ones (core.IssueBarrier in drain mode, sharing the current
+// epoch), then a stall until every acknowledgment not bound for it is in.
+// It always blocks — the caller found stores or releases outstanding
+// outside `except` — and the op re-executes once they are drained. Used
+// only by the NoNotifications ablation.
+func (c *cpu) drainOthers(except int) {
 	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.ix(c.ID), c.buf[:0])
 	if !ok {
-		c.stallProvision(c.dirAt(bad), func() { c.execBarrierExcept(except, next) })
+		c.stallProvision(bad)
 		return
 	}
 	c.buf = msgs
@@ -219,12 +251,7 @@ func (c *cpu) execBarrierExcept(except int, next func()) {
 		}
 	}
 	c.sendBarriers(msgs)
-	if !c.st.UnackedOutside(except) {
-		next()
-		return
-	}
-	c.stallWhile(func() bool { return c.st.UnackedOutside(except) },
-		stats.StallAckWait, next)
+	c.Block(proto.Wait{On: waitUnackedOutside, Arg: uint64(except), Stall: stats.StallAckWait})
 }
 
 // sendBarriers injects core-emitted empty Releases onto the NoC.
@@ -238,27 +265,28 @@ func (c *cpu) sendBarriers(msgs []core.Msg) {
 	}
 }
 
-func (c *cpu) stallProvision(d noc.NodeID, retry func()) {
+// provisioned reports whether a release bound for directory d can issue
+// now; if not, the core blocks until it can and the op re-executes.
+func (c *cpu) provisioned(d int) bool {
+	if c.st.Provisioned(c.cp, d) {
+		return true
+	}
+	c.stallProvision(d)
+	return false
+}
+
+func (c *cpu) stallProvision(d int) {
 	kind := stats.StallTableFull
 	if c.st.WindowBlocked(c.cp) {
 		kind = stats.StallOverflow
 	}
-	if c.blocked != nil {
-		panic("cord: core blocked twice")
-	}
-	resume := c.StallUntil(kind, retry)
-	c.blocked = func() {
-		if c.st.Provisioned(c.cp, c.ix(d)) {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.Block(proto.Wait{On: waitProvision, Arg: uint64(d), Stall: kind})
 }
 
 // issueRelease delegates the Release (and its notification fan-out) to the
 // core rule and injects the emitted messages in order. The caller has
 // already verified provisioning.
-func (c *cpu) issueRelease(op proto.Op, d noc.NodeID, next func()) {
+func (c *cpu) issueRelease(op proto.Op, d noc.NodeID) {
 	ep := c.st.Ep
 	live := c.st.CntLive
 	rel := core.Msg{Src: c.ix(c.ID), Addr: uint64(op.Addr), Val: op.Value,
@@ -287,7 +315,6 @@ func (c *cpu) issueRelease(op proto.Op, d noc.NodeID, next func()) {
 		c.occCnt.Dec()
 	}
 	c.wcValid = false
-	next()
 }
 
 // --- Atomics -----------------------------------------------------------------
@@ -298,7 +325,7 @@ func (c *cpu) issueRelease(op proto.Op, d noc.NodeID, next func()) {
 // the core additionally blocks on the value response — a data dependency
 // that directory ordering cannot remove, which is why atomic-heavy
 // workloads (TQH's task queue) gain least from CORD.
-func (c *cpu) execAtomic(op proto.Op, next func()) {
+func (c *cpu) execAtomic(op proto.Op) {
 	ord := op.Ord
 	if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
 		ord = proto.Release
@@ -306,31 +333,23 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 	d := c.Sys.Map.HomeOf(op.Addr)
 	di := c.ix(d)
 	if ord == proto.Release || ord == proto.SeqCst {
-		if !c.st.Provisioned(c.cp, di) {
-			c.stallProvision(d, func() { c.execAtomic(op, next) })
+		if !c.provisioned(di) {
 			return
 		}
 		if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
-			c.execBarrierExcept(di, func() { c.execAtomic(op, next) })
+			c.drainOthers(di)
 			return
 		}
 		aop := op
 		aop.Ord = proto.Release
-		c.issueRelease(aop, d, func() {
-			ep := c.st.Ep - 1
-			c.stallWhile(func() bool { return c.st.EpochLive(ep) },
-				stats.StallAcquire, next)
-		})
+		c.issueRelease(aop, d)
+		// The release's acknowledgment carries the old value: retire on it.
+		c.Block(proto.Wait{On: waitEpoch, Arg: c.st.Ep - 1, Stall: stats.StallAcquire, Retire: true})
 		return
 	}
 	// Relaxed atomic: epoch-counted like a Relaxed store, plus the blocking
 	// value response.
-	switch c.st.RelaxedAdmit(c.cp, di) {
-	case core.AdmitOverflow:
-		c.flushThen(d, stats.StallOverflow, func() { c.execAtomic(op, next) })
-		return
-	case core.AdmitTableFull:
-		c.flushThen(d, stats.StallTableFull, func() { c.execAtomic(op, next) })
+	if !c.admitRelaxed(d) {
 		return
 	}
 	ep, newEntry := c.st.NoteRelaxed(di)
@@ -339,21 +358,11 @@ func (c *cpu) execAtomic(op proto.Op, next func()) {
 	}
 	c.wcValid = false // atomics never write-combine
 	c.atomicTag++
-	tag := c.atomicTag
-	c.atomicWait[tag] = c.StallUntil(stats.StallAcquire, next)
+	c.Block(proto.Wait{On: proto.WaitResp, Arg: c.atomicTag, Stall: stats.StallAcquire, Retire: true})
 	c.Sys.Net.Send(c.ID, d, stats.ClassAtomic,
 		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
 		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value,
-			Size: op.Size, Atomic: true, Tag: tag})
-}
-
-func (c *cpu) onAtomicResp(m *atomicRespMsg) {
-	cont, ok := c.atomicWait[m.Tag]
-	if !ok {
-		panic("cord: unknown atomic response tag")
-	}
-	delete(c.atomicWait, m.Tag)
-	cont()
+			Size: op.Size, Atomic: true, Tag: c.atomicTag})
 }
 
 // --- Write-back stores (§4.4) ----------------------------------------------
@@ -363,34 +372,22 @@ func (c *cpu) onAtomicResp(m *atomicRespMsg) {
 // be source-ordered against them (they have no acknowledgments), so the
 // processor injects a directory-ordered Release barrier and stalls until it
 // is acknowledged before issuing the Release write-back (§4.4).
-func (c *cpu) execWriteBack(op proto.Op, next func()) {
+func (c *cpu) execWriteBack(op proto.Op) {
 	if op.Ord != proto.Release && c.Sys.Mode != proto.TSO {
 		c.sendWB(op)
-		next()
+		c.Retire()
 		return
 	}
 	// Ordering barrier against uncommitted directory-ordered stores.
-	if c.st.Dirty() || len(c.st.Unacked) > 0 {
-		c.InjectedWBBarriers++
-		c.execBarrier(func() { c.execWriteBack(op, next) })
+	if (c.st.Dirty() || len(c.st.Unacked) > 0) && !c.barrier() {
 		return
 	}
 	// Source ordering of the write-back Release against prior write-backs.
-	if c.wbPending > 0 {
-		if c.blocked != nil {
-			panic("cord: core blocked twice")
-		}
-		resume := c.StallUntil(stats.StallAckWait, func() { c.execWriteBack(op, next) })
-		c.blocked = func() {
-			if c.wbPending == 0 {
-				c.blocked = nil
-				resume()
-			}
-		}
+	if !c.Await(proto.Wait{On: waitWBAcked, Stall: stats.StallAckWait}) {
 		return
 	}
 	c.sendWB(op)
-	next()
+	c.Retire()
 }
 
 func (c *cpu) sendWB(op proto.Op) {
@@ -402,30 +399,22 @@ func (c *cpu) sendWB(op proto.Op) {
 		&wbMsg{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.wbNextTag})
 }
 
-func (c *cpu) onWBAck(*wbAckMsg) {
-	if c.wbPending == 0 {
-		panic("cord: spurious write-back ack")
-	}
-	c.wbPending--
-	if c.blocked != nil {
-		c.blocked()
-	}
-}
-
 // --- Release / SC barrier (§4.4) ------------------------------------------
 
-// execBarrier makes all prior write-through stores globally visible: it
+// barrier makes all prior write-through stores globally visible: it
 // broadcasts an empty directory-ordered Release to every directory holding
 // uncommitted Relaxed stores of the current epoch, and waits for those plus
 // every already-outstanding Release acknowledgment (§4.4). Directories whose
 // only pending work is an in-flight acknowledged-on-commit Release need no
-// new message — their existing ack suffices.
-func (c *cpu) execBarrier(next func()) {
+// new message — their existing ack suffices. It reports whether nothing is
+// left to wait for; otherwise the core blocks and the op re-executes, and
+// then finds nothing to broadcast.
+func (c *cpu) barrier() bool {
 	live := c.st.CntLive
 	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.ix(c.ID), c.buf[:0])
 	if !ok {
-		c.stallProvision(c.dirAt(bad), func() { c.execBarrier(next) })
-		return
+		c.stallProvision(bad)
+		return false
 	}
 	c.buf = msgs
 	if len(msgs) > 0 {
@@ -436,30 +425,7 @@ func (c *cpu) execBarrier(next func()) {
 		}
 	}
 	c.sendBarriers(msgs)
-	if len(c.st.Unacked) == 0 {
-		next()
-		return
-	}
-	c.stallWhile(func() bool { return len(c.st.Unacked) > 0 },
-		stats.StallRelease, next)
-}
-
-// stallWhile blocks the core until cond turns false, charging kind.
-func (c *cpu) stallWhile(cond func() bool, kind stats.StallKind, resume func()) {
-	if !cond() {
-		resume()
-		return
-	}
-	if c.blocked != nil {
-		panic("cord: core blocked twice")
-	}
-	cont := c.StallUntil(kind, resume)
-	c.blocked = func() {
-		if !cond() {
-			c.blocked = nil
-			cont()
-		}
-	}
+	return c.Await(proto.Wait{On: waitAllAcked, Stall: stats.StallRelease})
 }
 
 // --- Acknowledgments (Alg. 1 lines 14-15) ---------------------------------
@@ -478,7 +444,5 @@ func (c *cpu) onAck(m *ackMsg) {
 				Src: c.ID.Obs(), Seq: m.Ep, Dur: lat})
 		}
 	}
-	if c.blocked != nil {
-		c.blocked()
-	}
+	c.Wake()
 }

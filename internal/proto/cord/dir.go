@@ -54,7 +54,8 @@ func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
 	return d
 }
 
-// pix is the dense index of a processor for the core rules.
+// pix is the dense index of a node (processor or directory) for the core
+// rules.
 func (d *dir) pix(id noc.NodeID) int { return id.Host*d.tiles + id.Tile }
 
 // coreAt is pix's inverse: the core rules identify processors by dense
@@ -179,7 +180,7 @@ func (d *dir) commitRelease(cm core.Msg) {
 // local pending stores commit (Alg. 2 lines 25-28).
 func (d *dir) onReqNotify(m *reqNotifyMsg) {
 	cm := core.Msg{Kind: core.MReqNotify, Src: d.pix(m.Src), Dir: d.self,
-		Dst: d.pixDir(m.Dst), Ep: m.Ep, Cnt: m.RelaxedCnt,
+		Dst: d.pix(m.Dst), Ep: m.Ep, Cnt: m.RelaxedCnt,
 		HasPrev: m.HasPrev, PrevEp: m.PrevEp}
 	if !d.st.ReqEligible(cm) {
 		d.st.BufferReq(cm)
@@ -189,9 +190,6 @@ func (d *dir) onReqNotify(m *reqNotifyMsg) {
 	}
 	d.serveNotify(cm)
 }
-
-// pixDir is the dense index of a directory node.
-func (d *dir) pixDir(id noc.NodeID) int { return id.Host*d.tiles + id.Tile }
 
 // serveNotify consumes an eligible request-for-notification through the core
 // rule: the store-counter entry retires (§4.3) and the notification either

@@ -201,9 +201,10 @@ type cpu struct {
 	proto.ProcBase
 	// st assigns per-destination-host sequence numbers (the ordering
 	// domains of core.MPProc are hosts here).
-	st       core.MPProc
-	nextTag  uint64
-	inflight map[uint64]func()
+	st      core.MPProc
+	nextTag uint64
+	// flushing counts the barrier's flushing reads still unanswered.
+	flushing int
 	// buf is the reusable flush fan-out scratch.
 	buf []core.Msg
 	// wcAddr is a one-entry write-combining buffer (posted writes to the
@@ -212,39 +213,48 @@ type cpu struct {
 	wcValid bool
 }
 
+// waitFlushed is the one condition an MP core blocks on besides an atomic's
+// response: every flushing read of a barrier has been answered.
+const waitFlushed = proto.WaitProto
+
+// Ready implements proto.Adapter.
+func (c *cpu) Ready(w proto.Wait) bool {
+	if w.On != waitFlushed {
+		panic(fmt.Sprintf("mp: unknown wait %d", w.On))
+	}
+	return c.flushing == 0
+}
+
 func (c *cpu) handle(_ noc.NodeID, payload any) {
 	switch m := payload.(type) {
 	case *proto.LoadResp:
 		c.HandleLoadResp(m)
 	case *flushResp:
-		cont, ok := c.inflight[m.Tag]
-		if !ok {
-			panic("mp: unknown flush tag")
+		if c.flushing == 0 {
+			panic("mp: flush response with no flushing read outstanding")
 		}
-		delete(c.inflight, m.Tag)
 		if rec := c.Obs; rec.Take() {
 			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
 				Src: c.ID.Obs(), Seq: m.Tag})
 		}
-		cont()
+		c.flushing--
+		c.Wake()
 	case *atomicResp:
-		cont, ok := c.inflight[m.Tag]
-		if !ok {
+		if !c.Respond(m.Tag) {
 			panic("mp: unknown atomic tag")
 		}
-		delete(c.inflight, m.Tag)
-		cont()
 	default:
 		panic(fmt.Sprintf("mp: cpu %v got unexpected message %T", c.ID, payload))
 	}
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+// Exec implements proto.Adapter.
+func (c *cpu) Exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpStoreWT, proto.OpStoreWB:
 		if op.Ord == proto.Relaxed {
 			if c.wcValid && c.wcAddr == op.Addr {
-				next()
+				c.Retire()
 				return
 			}
 			c.wcAddr, c.wcValid = op.Addr, true
@@ -260,14 +270,14 @@ func (c *cpu) exec(op proto.Op, next func()) {
 			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr,
 			Value: op.Value, Size: op.Size,
 		})
-		next()
+		c.Retire()
 	case proto.OpAtomic:
 		// Non-posted atomic: ordered in the per-host stream, blocks on the
 		// value response.
 		c.wcValid = false
 		home := c.Sys.Map.HomeOf(op.Addr)
 		c.nextTag++
-		c.inflight[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
+		c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
 		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &mpStore{
 			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr, Value: op.Value,
 			Size: op.Size, Atomic: true, Tag: c.nextTag,
@@ -275,9 +285,9 @@ func (c *cpu) exec(op proto.Op, next func()) {
 	case proto.OpBarrier:
 		switch op.Ord {
 		case proto.Release, proto.SeqCst:
-			c.flushAll(next)
+			c.flushAll()
 		default:
-			next()
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("mp: unexpected op %v", op))
@@ -286,28 +296,18 @@ func (c *cpu) exec(op proto.Op, next func()) {
 
 // flushAll issues a flushing read to every host this core posted writes to
 // (core.MPProc's flush fan-out, ascending host order) and stalls until all
-// respond.
-func (c *cpu) flushAll(next func()) {
-	outstanding := 0
-	resume := c.StallUntil(stats.StallRelease, next)
-	done := func() {
-		outstanding--
-		if outstanding == 0 {
-			resume()
-		}
-	}
+// respond. The stall is taken even when there is nothing to flush, so such
+// a barrier still records a zero-length stall.
+func (c *cpu) flushAll() {
+	c.Block(proto.Wait{On: waitFlushed, Stall: stats.StallRelease, Retire: true})
 	c.buf = c.st.FlushTargets(0, c.buf[:0])
 	for _, f := range c.buf {
-		host := f.Dir
-		outstanding++
+		c.flushing++
 		c.nextTag++
-		c.inflight[c.nextTag] = done
-		c.Sys.Net.Send(c.ID, noc.DirID(host, 0), stats.ClassBarrier,
+		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier,
 			proto.LoadReqBytes, &flushReq{Src: c.ID, Seq: f.Seq, Tag: c.nextTag})
 	}
-	if outstanding == 0 {
-		resume()
-	}
+	c.Wake()
 }
 
 // Build implements proto.Builder.
@@ -325,9 +325,8 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{st: core.NewMPProc(cfg.Hosts), inflight: make(map[uint64]func())}
-		c.InitBase(sys, id, &sys.Run.Procs[i])
-		c.Exec = c.exec
+		c := &cpu{st: core.NewMPProc(cfg.Hosts)}
+		c.InitBase(sys, id, &sys.Run.Procs[i], c)
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}

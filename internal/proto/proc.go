@@ -33,12 +33,57 @@ type LoadResp struct {
 // pipeline issues at most one operation per cycle.
 const IssueCycles = 1
 
+// Adapter is a protocol's half of a processor core. ProcBase executes
+// Compute and Acquire ops itself and hands every store, barrier and atomic
+// to Exec, which ends the op one of two ways: Retire (the core may issue the
+// next op) or Block (the core waits on a named condition). A message handler
+// that changes state a wait may depend on calls Wake, which asks Ready.
+type Adapter interface {
+	// Exec performs op and either retires it or blocks the core. An op
+	// blocked on a wait that does not retire it is passed to Exec again,
+	// from the top, once the wait clears.
+	Exec(op Op)
+	// Ready reports whether the protocol-defined wait w has cleared.
+	Ready(w Wait) bool
+}
+
+// WaitOn names what a blocked core waits for. The base owns the values
+// below WaitProto; each protocol numbers its own conditions from WaitProto.
+type WaitOn uint8
+
+const (
+	waitNone WaitOn = iota
+	// waitLoad is an acquire's poll response tagged Wait.Arg. Unlike every
+	// other wait it is not bracketed by stall events in the trace: the op's
+	// own issue and done events already bracket it.
+	waitLoad
+	// WaitResp is the response tagged Wait.Arg to a request the op sent (a
+	// far atomic's old value), delivered through Respond.
+	WaitResp
+	// WaitProto is the first protocol-defined condition, answered by
+	// Adapter.Ready.
+	WaitProto
+)
+
+// Wait is what a blocked core waits on: a condition and its operand
+// (directory index, epoch, tag or count), the stall category the blocked
+// time is charged to, and what happens when the wait clears — the op
+// retires, or it is re-executed from the top and re-checks every guard, as
+// the model checker's processor step does.
+type Wait struct {
+	On     WaitOn
+	Arg    uint64
+	Stall  stats.StallKind
+	Retire bool
+}
+
 // ProcBase sequences a core's operation stream: it executes Compute and
-// Acquire ops itself and delegates stores and barriers to the owning protocol
-// through Exec. Ops are pulled one at a time from an OpSource — a static
-// Program is just the trivial source — so the stream may be produced
-// reactively, at simulated time, by a workload that decides each op only once
-// the previous one retired. Protocol processor types embed it.
+// Acquire ops itself and delegates stores, barriers and atomics to the
+// owning protocol's Adapter. Ops are pulled one at a time from an OpSource —
+// a static Program is just the trivial source — so the stream may be
+// produced reactively, at simulated time, by a workload that decides each op
+// only once the previous one retired. At most one op is in flight, so a core
+// blocks on at most one Wait. Protocol processor types embed it.
 type ProcBase struct {
 	Sys *System
 	ID  noc.NodeID
@@ -49,9 +94,8 @@ type ProcBase struct {
 	Eng *sim.Engine
 	Obs *obs.Recorder
 
-	// Exec performs a store or barrier op and calls next() when the core may
-	// proceed to the following op in program order. The protocol sets it.
-	Exec func(op Op, next func())
+	adapter Adapter
+	step    func() // Step, bound once so rescheduling it does not allocate
 
 	src        OpSource
 	pending    Op
@@ -59,17 +103,29 @@ type ProcBase struct {
 	seq        uint64
 	done       bool
 	nextTag    uint64
-	acquires   map[uint64]func()
+
+	// The op in flight and its trace state.
+	op       Op
+	opSeq    uint64
+	issued   sim.Time
+	opTraced bool
+
+	// The wait the op is blocked on (On == waitNone while it runs), when it
+	// began, and whether its stall is traced.
+	wait       Wait
+	waitStart  sim.Time
+	waitTraced bool
 }
 
-// InitBase prepares the embedded fields.
-func (p *ProcBase) InitBase(sys *System, id noc.NodeID, ps *stats.ProcStats) {
+// InitBase prepares the embedded fields; a is the protocol half of the core.
+func (p *ProcBase) InitBase(sys *System, id noc.NodeID, ps *stats.ProcStats, a Adapter) {
 	p.Sys = sys
 	p.ID = id
 	p.PS = ps
 	p.Eng = sys.EngOf(id.Host)
 	p.Obs = sys.ObsOf(id.Host)
-	p.acquires = make(map[uint64]func())
+	p.adapter = a
+	p.step = p.Step
 }
 
 // Start begins executing a static program (the trivial OpSource).
@@ -93,15 +149,14 @@ func (p *ProcBase) StartSource(src OpSource) {
 		return
 	}
 	p.pending, p.hasPending = op, true
-	p.Eng.Schedule(0, p.Step)
+	p.Eng.Schedule(0, p.step)
 }
 
 // Done reports whether the operation stream has retired.
 func (p *ProcBase) Done() bool { return p.done }
 
 // Step executes the next op — the one stashed by StartSource, or freshly
-// pulled from the source now that the previous op has retired. The protocol's
-// Exec (or the base's own handling) calls back to advance.
+// pulled from the source now that the previous op has retired.
 func (p *ProcBase) Step() {
 	var op Op
 	if p.hasPending {
@@ -117,105 +172,136 @@ func (p *ProcBase) Step() {
 			return
 		}
 	}
-	opSeq := p.seq
+	p.op, p.opSeq, p.opTraced = op, p.seq, false
 	p.seq++
 	p.PS.Ops++
-	next := func() { p.Eng.Schedule(IssueCycles, p.Step) }
 	if rec := p.Obs; rec.Take() {
 		// One sampling decision covers the op's whole lifecycle: issue now,
-		// done when the protocol releases the core. Compute ops are a single
-		// issue event carrying their (known) duration.
-		issued := p.Eng.Now()
-		src := p.ID.Obs()
-		ev := obs.Event{At: issued, Kind: obs.KOpIssue, Src: src, Seq: opSeq,
+		// done when it retires. Compute ops are a single issue event
+		// carrying their (known) duration.
+		p.issued = p.Eng.Now()
+		ev := obs.Event{At: p.issued, Kind: obs.KOpIssue, Src: p.ID.Obs(), Seq: p.opSeq,
 			Addr: uint64(op.Addr), Op: uint8(op.Kind), Ord: uint8(op.Ord)}
 		if op.Kind == OpCompute {
 			ev.Dur = op.Cycles
 		}
 		rec.Record(ev)
-		if op.Kind != OpCompute {
-			inner := next
-			next = func() {
-				now := p.Eng.Now()
-				rec.Record(obs.Event{At: now, Kind: obs.KOpDone, Src: src,
-					Seq: opSeq, Addr: uint64(op.Addr), Dur: now - issued,
-					Op: uint8(op.Kind), Ord: uint8(op.Ord)})
-				inner()
-			}
-		}
+		p.opTraced = op.Kind != OpCompute
 	}
 	switch op.Kind {
 	case OpCompute:
 		p.PS.ComputeCyc += op.Cycles
-		p.Eng.Schedule(op.Cycles, p.Step)
+		p.Eng.Schedule(op.Cycles, p.step)
 	case OpAcquire:
-		p.beginAcquire(op, next)
+		// Poll the flag's home directory and block until it answers.
+		tag := p.nextTag
+		p.nextTag++
+		p.Block(Wait{On: waitLoad, Arg: tag, Stall: stats.StallAcquire, Retire: true})
+		home := p.Sys.Map.HomeOf(op.Addr)
+		p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
+			&LoadReq{Requestor: p.ID, Addr: op.Addr, Want: op.Value, Tag: tag})
 	case OpStoreWT, OpStoreWB, OpBarrier, OpAtomic:
-		if op.Kind == OpStoreWT || op.Kind == OpStoreWB || op.Kind == OpAtomic {
+		if op.Kind != OpBarrier {
 			if op.Ord == Release {
 				p.PS.Releases++
 			} else {
 				p.PS.Relaxed++
 			}
 		}
-		if p.Exec == nil {
-			panic("proto: ProcBase.Exec not set by protocol")
-		}
-		p.Exec(op, next)
+		p.adapter.Exec(op)
 	default:
 		panic(fmt.Sprintf("proto: unknown op kind %v", op.Kind))
 	}
 }
 
-// beginAcquire sends the poll request and blocks the core until the response
-// arrives, charging the wait to StallAcquire.
-func (p *ProcBase) beginAcquire(op Op, next func()) {
-	start := p.Eng.Now()
-	tag := p.nextTag
-	p.nextTag++
-	p.acquires[tag] = func() {
-		d := p.Eng.Now() - start
-		p.PS.AddStall(stats.StallAcquire, d)
-		p.Obs.AddStall(stats.StallAcquire, d)
-		next()
+// Retire completes the op in flight; the core issues the next op
+// IssueCycles later.
+func (p *ProcBase) Retire() {
+	if p.opTraced {
+		now := p.Eng.Now()
+		p.Obs.Record(obs.Event{At: now, Kind: obs.KOpDone, Src: p.ID.Obs(),
+			Seq: p.opSeq, Addr: uint64(p.op.Addr), Dur: now - p.issued,
+			Op: uint8(p.op.Kind), Ord: uint8(p.op.Ord)})
 	}
-	home := p.Sys.Map.HomeOf(op.Addr)
-	p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
-		&LoadReq{Requestor: p.ID, Addr: op.Addr, Want: op.Value, Tag: tag})
+	p.Eng.Schedule(IssueCycles, p.step)
 }
 
-// HandleLoadResp resumes the acquire waiting on the response's tag. Protocol
-// core handlers route LoadResp messages here.
+// RetireDualIssue retires a store that issues alongside its predecessor in
+// the same cycle (a write-back store hit): the next op starts now, and the
+// op records no done event — its issue event is its whole trace.
+func (p *ProcBase) RetireDualIssue() { p.Eng.Schedule(0, p.step) }
+
+// Block parks the op in flight until w clears, charging the wait from now
+// to w.Stall. When tracing, the stall is bracketed by KStallBegin/KStallEnd
+// events under one sampling decision, taken here.
+func (p *ProcBase) Block(w Wait) {
+	if p.wait.On != waitNone {
+		panic(fmt.Sprintf("proto: core %v blocked twice", p.ID))
+	}
+	p.wait, p.waitStart, p.waitTraced = w, p.Eng.Now(), false
+	if w.On != waitLoad && p.Obs.Take() {
+		p.waitTraced = true
+		p.Obs.Record(obs.Event{At: p.waitStart, Kind: obs.KStallBegin,
+			Src: p.ID.Obs(), Seq: uint64(w.Stall)})
+	}
+}
+
+// Await reports whether the protocol condition w has already cleared; if
+// not, it blocks the core on w and reports false.
+func (p *ProcBase) Await(w Wait) bool {
+	if p.adapter.Ready(w) {
+		return true
+	}
+	p.Block(w)
+	return false
+}
+
+// Wake resumes the core if it is blocked on a protocol condition that has
+// cleared. Message handlers call it after every state change a wait may
+// depend on; for a running core it does nothing.
+func (p *ProcBase) Wake() {
+	if p.wait.On >= WaitProto && p.adapter.Ready(p.wait) {
+		p.resume()
+	}
+}
+
+// Respond delivers the response tagged tag, resuming the core if it is
+// blocked on exactly that response (WaitResp), and reports whether it was.
+func (p *ProcBase) Respond(tag uint64) bool { return p.respond(WaitResp, tag) }
+
+// HandleLoadResp resumes the acquire waiting on the response. Protocol core
+// handlers route LoadResp messages here.
 func (p *ProcBase) HandleLoadResp(m *LoadResp) {
-	cont, ok := p.acquires[m.Tag]
-	if !ok {
+	if !p.respond(waitLoad, m.Tag) {
 		panic(fmt.Sprintf("proto: %v got LoadResp with unknown tag %d", p.ID, m.Tag))
 	}
-	delete(p.acquires, m.Tag)
-	cont()
 }
 
-// StallUntil charges kind for the duration between now and the moment
-// release() is invoked; it returns the function to call when the stall ends.
-// When tracing is on, the stall is bracketed by KStallBegin/KStallEnd events
-// under one sampling decision.
-func (p *ProcBase) StallUntil(kind stats.StallKind, resume func()) func() {
-	start := p.Eng.Now()
-	rec := p.Obs
-	traced := rec.Take()
-	if traced {
-		rec.Record(obs.Event{At: start, Kind: obs.KStallBegin,
-			Src: p.ID.Obs(), Seq: uint64(kind)})
+func (p *ProcBase) respond(on WaitOn, tag uint64) bool {
+	if p.wait.On != on || p.wait.Arg != tag {
+		return false
 	}
-	return func() {
-		d := p.Eng.Now() - start
-		p.PS.AddStall(kind, d)
-		rec.AddStall(kind, d)
-		if traced {
-			rec.Record(obs.Event{At: p.Eng.Now(), Kind: obs.KStallEnd,
-				Src: p.ID.Obs(), Seq: uint64(kind), Dur: d})
-		}
-		resume()
+	p.resume()
+	return true
+}
+
+// resume ends the wait: it charges the stall, closes its trace bracket, and
+// retires or re-executes the op.
+func (p *ProcBase) resume() {
+	w := p.wait
+	p.wait = Wait{}
+	now := p.Eng.Now()
+	d := now - p.waitStart
+	p.PS.AddStall(w.Stall, d)
+	p.Obs.AddStall(w.Stall, d)
+	if p.waitTraced {
+		p.Obs.Record(obs.Event{At: now, Kind: obs.KStallEnd,
+			Src: p.ID.Obs(), Seq: uint64(w.Stall), Dur: d})
+	}
+	if w.Retire {
+		p.Retire()
+	} else {
+		p.adapter.Exec(p.op)
 	}
 }
 

@@ -19,6 +19,21 @@ func (nullProto) Name() string { return "null" }
 
 type nullCPU struct{ ProcBase }
 
+// Exec implements Adapter: stores are posted to their home directory and
+// retire at once; barriers retire at once.
+func (c *nullCPU) Exec(op Op) {
+	if op.Kind == OpStoreWT || op.Kind == OpStoreWB {
+		home := c.Sys.Map.HomeOf(op.Addr)
+		c.Sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
+			&nullStore{Addr: op.Addr, Value: op.Value})
+	}
+	c.Retire()
+}
+
+// Ready implements Adapter; the null protocol never blocks on a condition
+// of its own.
+func (c *nullCPU) Ready(Wait) bool { panic("nullCPU: no protocol waits") }
+
 type nullDir struct{ DirBase }
 
 type nullStore struct {
@@ -32,7 +47,6 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 		d := &nullDir{}
 		d.InitBase(sys, id)
 		dirs[id] = d
-		id := id
 		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
 			switch m := payload.(type) {
 			case *LoadReq:
@@ -47,18 +61,7 @@ func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
 	cpus := make([]CPU, len(cores))
 	for i, id := range cores {
 		c := &nullCPU{}
-		c.InitBase(sys, id, &sys.Run.Procs[i])
-		c.Exec = func(op Op, next func()) {
-			switch op.Kind {
-			case OpStoreWT, OpStoreWB:
-				home := sys.Map.HomeOf(op.Addr)
-				sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
-					&nullStore{Addr: op.Addr, Value: op.Value})
-				next()
-			case OpBarrier:
-				next()
-			}
-		}
+		c.InitBase(sys, id, &sys.Run.Procs[i], c)
 		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
 			c.HandleLoadResp(payload.(*LoadResp))
 		})

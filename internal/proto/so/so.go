@@ -66,14 +66,12 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
 		d.InitBase(sys, id)
-		id := id
 		sys.Net.Register(id, d.handle)
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{cfg: p.Cfg, atomicWait: make(map[uint64]func()), relSent: make(map[uint64]sim.Time)}
-		c.InitBase(sys, id, &sys.Run.Procs[i])
-		c.Exec = c.exec
+		c := &cpu{cfg: p.Cfg, relSent: make(map[uint64]sim.Time)}
+		c.InitBase(sys, id, &sys.Run.Procs[i], c)
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
@@ -91,24 +89,45 @@ type cpu struct {
 
 	st      core.SOProc // outstanding write-through stores (RC mode)
 	nextTag uint64      // store tags for ack matching
-	// atomicWait is the continuation blocked on an atomic's response.
-	atomicWait map[uint64]func()
 	// relSent records Release store send times by tag.
 	relSent map[uint64]sim.Time
-	// blocked is the continuation of an op stalled on ack arrival.
-	blocked func()
 	// wcAddr implements a one-entry write-combining buffer: consecutive
 	// Relaxed stores to the same address merge into one wire transaction.
 	wcAddr  memsys.Addr
 	wcValid bool
 
 	// TSO store buffer: stores queued for serial, in-order drain.
-	buf      []bufEntry
+	buf      []proto.Op
 	draining bool
 }
 
-type bufEntry struct {
-	op proto.Op
+// Conditions a source-ordered core blocks on.
+const (
+	// waitDrained: every store acknowledged (core.SOProc's ordering rule).
+	waitDrained = proto.WaitProto + iota
+	// waitEmpty: the TSO store buffer is empty and every store acknowledged.
+	waitEmpty
+	// waitBufSpace: the TSO store buffer has a free entry.
+	waitBufSpace
+)
+
+var (
+	drained  = proto.Wait{On: waitDrained, Stall: stats.StallAckWait}
+	bufEmpty = proto.Wait{On: waitEmpty, Stall: stats.StallAckWait}
+	bufSpace = proto.Wait{On: waitBufSpace, Stall: stats.StallStoreBuf}
+)
+
+// Ready implements proto.Adapter.
+func (c *cpu) Ready(w proto.Wait) bool {
+	switch w.On {
+	case waitDrained:
+		return c.st.CanIssueOrdered()
+	case waitEmpty:
+		return len(c.buf) == 0 && c.st.Drained()
+	case waitBufSpace:
+		return len(c.buf) < c.cfg.StoreBufCap
+	}
+	panic(fmt.Sprintf("so: unknown wait %d", w.On))
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
@@ -122,9 +141,10 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 	}
 }
 
-func (c *cpu) exec(op proto.Op, next func()) {
+// Exec implements proto.Adapter.
+func (c *cpu) Exec(op proto.Op) {
 	if c.Sys.Mode == proto.TSO {
-		c.execTSO(op, next)
+		c.execTSO(op)
 		return
 	}
 	switch op.Kind {
@@ -133,46 +153,40 @@ func (c *cpu) exec(op proto.Op, next func()) {
 		// through the same ordered path.
 		if op.Ord == proto.Release {
 			c.wcValid = false
-			c.whenDrained(stats.StallAckWait, func() {
+			if c.Await(drained) {
 				c.send(op, true)
-				next()
-			})
+				c.Retire()
+			}
 			return
 		}
 		if c.wcValid && c.wcAddr == op.Addr {
 			// Write-combined: the in-flight transaction absorbs the store.
-			next()
+			c.Retire()
 			return
 		}
 		c.wcAddr, c.wcValid = op.Addr, true
 		c.send(op, false)
-		next()
+		c.Retire()
 	case proto.OpAtomic:
 		// Far atomics are source-ordered like stores; the core additionally
 		// blocks on the value response (a true data dependency).
-		issue := func() {
-			c.sendAtomic(op)
-			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
-		}
-		if op.Ord == proto.Release || op.Ord == proto.SeqCst {
-			c.whenDrained(stats.StallAckWait, issue)
+		if (op.Ord == proto.Release || op.Ord == proto.SeqCst) && !c.Await(drained) {
 			return
 		}
-		issue()
+		c.sendAtomic(op)
 	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			// A release barrier completes when all prior write-through
-			// stores are acknowledged.
-			c.whenDrained(stats.StallAckWait, next)
-		default: // Acquire barriers need no store-side handling (§4.4).
-			next()
+		// A release barrier completes when all prior write-through stores
+		// are acknowledged; acquire barriers need no store-side handling
+		// (§4.4).
+		if (op.Ord != proto.Release && op.Ord != proto.SeqCst) || c.Await(drained) {
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("so: unexpected op %v", op))
 	}
 }
 
+// sendAtomic issues a far atomic and blocks the core on its response.
 func (c *cpu) sendAtomic(op proto.Op) {
 	c.nextTag++
 	c.st.NoteStore()
@@ -181,25 +195,7 @@ func (c *cpu) sendAtomic(op proto.Op) {
 		Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
 		Release: op.Ord == proto.Release, Atomic: true, Tag: c.nextTag,
 	})
-}
-
-// whenDrained runs fn once all stores are acknowledged (core.SOProc's
-// ordering rule), charging any wait to the given stall kind.
-func (c *cpu) whenDrained(kind stats.StallKind, fn func()) {
-	if c.st.CanIssueOrdered() {
-		fn()
-		return
-	}
-	if c.blocked != nil {
-		panic("so: core blocked twice")
-	}
-	resume := c.StallUntil(kind, fn)
-	c.blocked = func() {
-		if c.st.CanIssueOrdered() {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
 }
 
 func (c *cpu) send(op proto.Op, release bool) {
@@ -230,13 +226,8 @@ func (c *cpu) onAck(m *ackMsg) {
 				Src: c.ID.Obs(), Seq: m.Tag, Dur: lat})
 		}
 	}
-	if cont, ok := c.atomicWait[m.Tag]; ok {
-		delete(c.atomicWait, m.Tag)
-		cont()
-	}
-	if c.blocked != nil {
-		c.blocked()
-	}
+	c.Respond(m.Tag)
+	c.Wake()
 	if c.Sys.Mode == proto.TSO {
 		c.drainNext()
 	}
@@ -244,43 +235,30 @@ func (c *cpu) onAck(m *ackMsg) {
 
 // --- TSO mode -----------------------------------------------------------
 
-func (c *cpu) execTSO(op proto.Op, next func()) {
+func (c *cpu) execTSO(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
 		// TSO atomics drain the store buffer, execute, and block.
-		c.whenEmptyTSO(func() {
+		if c.Await(bufEmpty) {
 			c.sendAtomic(op)
-			c.atomicWait[c.nextTag] = c.StallUntil(stats.StallAcquire, next)
-		})
-	case proto.OpStoreWT, proto.OpStoreWB:
-		if len(c.buf) >= c.cfg.StoreBufCap {
-			if c.blocked != nil {
-				panic("so: core blocked twice")
-			}
-			resume := c.StallUntil(stats.StallStoreBuf, func() {
-				c.enqueue(op)
-				next()
-			})
-			c.blocked = func() {
-				if len(c.buf) < c.cfg.StoreBufCap {
-					c.blocked = nil
-					resume()
-				}
-			}
-			return
 		}
-		c.enqueue(op)
-		next()
+	case proto.OpStoreWT, proto.OpStoreWB:
+		if c.Await(bufSpace) {
+			c.enqueue(op)
+			c.Retire()
+		}
 	case proto.OpBarrier:
 		// Any barrier under TSO drains the store buffer.
-		c.whenEmptyTSO(next)
+		if c.Await(bufEmpty) {
+			c.Retire()
+		}
 	default:
 		panic(fmt.Sprintf("so: unexpected op %v", op))
 	}
 }
 
 func (c *cpu) enqueue(op proto.Op) {
-	c.buf = append(c.buf, bufEntry{op: op})
+	c.buf = append(c.buf, op)
 	if !c.draining {
 		c.drainNext()
 	}
@@ -291,35 +269,14 @@ func (c *cpu) enqueue(op proto.Op) {
 func (c *cpu) drainNext() {
 	if len(c.buf) == 0 {
 		c.draining = false
-		if c.blocked != nil {
-			c.blocked()
-		}
+		c.Wake()
 		return
 	}
 	c.draining = true
-	e := c.buf[0]
+	op := c.buf[0]
 	c.buf = c.buf[1:]
-	c.send(e.op, e.op.Ord == proto.Release)
-	if c.blocked != nil {
-		c.blocked() // buffer space freed
-	}
-}
-
-func (c *cpu) whenEmptyTSO(fn func()) {
-	if len(c.buf) == 0 && c.st.Drained() {
-		fn()
-		return
-	}
-	if c.blocked != nil {
-		panic("so: core blocked twice")
-	}
-	resume := c.StallUntil(stats.StallAckWait, fn)
-	c.blocked = func() {
-		if len(c.buf) == 0 && c.st.Drained() {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.send(op, op.Ord == proto.Release)
+	c.Wake() // buffer space freed
 }
 
 // dir is the source-ordering directory: commit, then acknowledge.

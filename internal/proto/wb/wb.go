@@ -100,13 +100,37 @@ type cpu struct {
 	// ack accounting — and decides store admission and flush eligibility.
 	st      core.WBProc
 	nextTag uint64
-	blocked func()
-	// atomicWait holds cores blocked on far-atomic value responses.
-	atomicWait map[uint64]func()
 	// hitToggle lets store hits retire at two per cycle: write-back hits
 	// drain into the L1 at full pipeline width, unlike write-through stores
 	// which each occupy a write-combining/egress slot.
 	hitToggle bool
+}
+
+// Conditions a write-back core blocks on.
+const (
+	// waitCanFlush: every ownership fetch has filled (core.WBProc.CanFlush).
+	waitCanFlush = proto.WaitProto + iota
+	// waitDrained: every write-back and flag store is acknowledged.
+	waitDrained
+	// waitMSHR: a miss register is free.
+	waitMSHR
+	// waitFetched: the ownership fetch of line Arg has filled.
+	waitFetched
+)
+
+// Ready implements proto.Adapter.
+func (c *cpu) Ready(w proto.Wait) bool {
+	switch w.On {
+	case waitCanFlush:
+		return c.st.CanFlush()
+	case waitDrained:
+		return c.st.Drained()
+	case waitMSHR:
+		return c.st.MSHR < c.cfg.MSHRs
+	case waitFetched:
+		return !c.st.Fetching[w.Arg]
+	}
+	panic(fmt.Sprintf("wb: unknown wait %d", w.On))
 }
 
 func (c *cpu) handle(_ noc.NodeID, payload any) {
@@ -115,67 +139,49 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 		c.HandleLoadResp(m)
 	case *fill:
 		c.st.Fill(uint64(m.Line))
-		c.recheck()
+		c.Wake()
 	case *ackMsg:
 		c.st.NoteAck()
-		if cont, ok := c.atomicWait[m.Tag]; ok {
-			delete(c.atomicWait, m.Tag)
-			cont()
-		}
-		c.recheck()
+		c.Respond(m.Tag)
+		c.Wake()
 	default:
 		panic(fmt.Sprintf("wb: cpu %v got unexpected message %T", c.ID, payload))
 	}
 }
 
-func (c *cpu) recheck() {
-	if c.blocked != nil {
-		c.blocked()
-	}
-}
-
-func (c *cpu) exec(op proto.Op, next func()) {
+// Exec implements proto.Adapter.
+func (c *cpu) Exec(op proto.Op) {
 	switch op.Kind {
 	case proto.OpAtomic:
 		// Atomics execute at the home directory (uncached far atomics);
 		// Release atomics flush dirty lines first, like Release stores.
-		issue := func() {
-			c.nextTag++
-			c.st.NoteFlag()
-			tag := c.nextTag
-			c.atomicWait[tag] = c.StallUntil(stats.StallAcquire, next)
-			home := c.Sys.Map.HomeOf(op.Addr)
-			c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size,
-				&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
-					Atomic: true, Tag: tag})
-		}
-		if op.Ord == proto.Release || op.Ord == proto.SeqCst || c.Sys.Mode == proto.TSO {
-			c.flushThen(stats.StallAckWait, issue)
+		if (op.Ord == proto.Release || op.Ord == proto.SeqCst || c.Sys.Mode == proto.TSO) && !c.flush() {
 			return
 		}
-		issue()
+		c.nextTag++
+		c.st.NoteFlag()
+		c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
+		home := c.Sys.Map.HomeOf(op.Addr)
+		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size,
+			&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
+				Atomic: true, Tag: c.nextTag})
 	case proto.OpStoreWT, proto.OpStoreWB:
 		// Under the WB scheme all stores use the write-back policy.
 		if op.Ord == proto.Release {
-			c.execRelease(op, next)
+			c.execRelease(op)
 		} else {
-			c.execStore(op, next)
+			c.execStore(op)
 		}
 	case proto.OpBarrier:
-		switch op.Ord {
-		case proto.Release, proto.SeqCst:
-			c.flushThen(stats.StallAckWait, func() {
-				c.whenPendingDrained(next)
-			})
-		default:
-			next()
+		if (op.Ord != proto.Release && op.Ord != proto.SeqCst) || c.flush() {
+			c.Retire()
 		}
 	default:
 		panic(fmt.Sprintf("wb: unexpected op %v", op))
 	}
 }
 
-func (c *cpu) execStore(op proto.Op, next func()) {
+func (c *cpu) execStore(op proto.Op) {
 	line := op.Addr.Line()
 	switch c.st.StoreAdmit(c.cfg.MSHRs, uint64(line)) {
 	case core.WBHit:
@@ -184,13 +190,12 @@ func (c *cpu) execStore(op proto.Op, next func()) {
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
 		c.hitToggle = !c.hitToggle
 		if c.hitToggle {
-			c.Eng.Schedule(0, c.Step)
+			c.RetireDualIssue()
 		} else {
-			next()
+			c.Retire()
 		}
 	case core.WBMSHRFull:
-		c.block(stats.StallStoreBuf, func() bool { return c.st.MSHR < c.cfg.MSHRs },
-			func() { c.execStore(op, next) })
+		c.Block(proto.Wait{On: waitMSHR, Stall: stats.StallStoreBuf})
 	case core.WBMiss:
 		c.st.BeginFetch(uint64(line))
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
@@ -199,61 +204,43 @@ func (c *cpu) execStore(op proto.Op, next func()) {
 		if c.Sys.Mode == proto.TSO {
 			// TSO source-orders every store: the next op retires only after
 			// ownership (and hence global order) is established.
-			c.block(stats.StallStoreBuf, func() bool { return !c.st.Fetching[uint64(line)] }, next)
+			c.Block(proto.Wait{On: waitFetched, Arg: uint64(line), Stall: stats.StallStoreBuf, Retire: true})
 			return
 		}
-		next()
+		c.Retire()
 	}
 }
 
 // execRelease flushes all dirty lines, waits for their acknowledgments, then
 // publishes the flag (which the next Release's drain will wait on).
-func (c *cpu) execRelease(op proto.Op, next func()) {
-	c.flushThen(stats.StallAckWait, func() {
-		c.nextTag++
-		c.st.NoteFlag()
-		home := c.Sys.Map.HomeOf(op.Addr)
-		c.Sys.Net.Send(c.ID, home, stats.ClassReleaseData, proto.HeaderBytes+op.Size,
-			&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.nextTag})
-		next()
-	})
-}
-
-// flushThen drains MSHRs, writes back every dirty line, waits for all
-// acknowledgments (including prior flag stores), then runs fn.
-func (c *cpu) flushThen(kind stats.StallKind, fn func()) {
-	c.block(kind, c.st.CanFlush, func() {
-		c.st.FlushLines(func(line uint64, vals map[uint64]uint64) {
-			c.nextTag++
-			home := c.Sys.Map.HomeOf(memsys.Addr(line))
-			c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
-				proto.HeaderBytes+memsys.LineBytes,
-				&wbData{Src: c.ID, Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
-		})
-		c.block(kind, c.st.Drained, fn)
-	})
-}
-
-func (c *cpu) whenPendingDrained(fn func()) {
-	c.block(stats.StallAckWait, c.st.Drained, fn)
-}
-
-// block stalls the core until cond holds, charging kind.
-func (c *cpu) block(kind stats.StallKind, cond func() bool, fn func()) {
-	if cond() {
-		fn()
+func (c *cpu) execRelease(op proto.Op) {
+	if !c.flush() {
 		return
 	}
-	if c.blocked != nil {
-		panic("wb: core blocked twice")
+	c.nextTag++
+	c.st.NoteFlag()
+	home := c.Sys.Map.HomeOf(op.Addr)
+	c.Sys.Net.Send(c.ID, home, stats.ClassReleaseData, proto.HeaderBytes+op.Size,
+		&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.nextTag})
+	c.Retire()
+}
+
+// flush drains MSHRs, writes back every dirty line, and reports whether
+// every acknowledgment (including prior flag stores) is in. Otherwise the
+// core blocks and the op re-executes once the step it waits on clears; by
+// then nothing is dirty, so the write-back is not repeated.
+func (c *cpu) flush() bool {
+	if !c.Await(proto.Wait{On: waitCanFlush, Stall: stats.StallAckWait}) {
+		return false
 	}
-	resume := c.StallUntil(kind, fn)
-	c.blocked = func() {
-		if cond() {
-			c.blocked = nil
-			resume()
-		}
-	}
+	c.st.FlushLines(func(line uint64, vals map[uint64]uint64) {
+		c.nextTag++
+		home := c.Sys.Map.HomeOf(memsys.Addr(line))
+		c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
+			proto.HeaderBytes+memsys.LineBytes,
+			&wbData{Src: c.ID, Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
+	})
+	return c.Await(proto.Wait{On: waitDrained, Stall: stats.StallAckWait})
 }
 
 // dir is the WB home directory: grants ownership, absorbs write-backs,
@@ -316,13 +303,8 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := &cpu{
-			cfg:        p.Cfg,
-			st:         core.NewWBProc(),
-			atomicWait: make(map[uint64]func()),
-		}
-		c.InitBase(sys, id, &sys.Run.Procs[i])
-		c.Exec = c.exec
+		c := &cpu{cfg: p.Cfg, st: core.NewWBProc()}
+		c.InitBase(sys, id, &sys.Run.Procs[i], c)
 		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}

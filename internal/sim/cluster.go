@@ -104,12 +104,12 @@ type Cluster struct {
 	stealAttempts atomic.Uint64
 	stealHits     atomic.Uint64
 
-	// pprof goroutine labels for the parallel window path, built lazily on
-	// first parallel window so -http CPU profiles attribute samples per
-	// shard/worker. The serial path never labels (it would cost allocations
-	// on the 0 allocs/op window loop).
-	shardLabels  []string
-	workerLabels []string
+	// labels[i] is the pprof label value for shard i and for worker i on the
+	// parallel window path, so -http CPU profiles attribute samples per
+	// shard/worker (a window never runs more workers than shards). Built in
+	// NewCluster because workers read it concurrently. The serial path never
+	// labels (it would cost allocations on the 0 allocs/op window loop).
+	labels []string
 }
 
 // seedFor derives shard i's engine seed from the base seed (splitmix-style
@@ -134,9 +134,11 @@ func NewCluster(seed int64, shards int, window Time) *Cluster {
 		window:  window,
 		active:  make([]int, 0, shards),
 		errs:    make([]error, shards),
+		labels:  make([]string, shards),
 	}
 	for i := range c.engines {
 		c.engines[i] = NewEngine(seedFor(seed, i))
+		c.labels[i] = strconv.Itoa(i)
 	}
 	return c
 }
@@ -182,25 +184,6 @@ func (c *Cluster) SetWindowObserver(o WindowObserver) {
 		c.rec.ShardBusyNs = make([]int64, n)
 		c.rec.ShardEvents = make([]uint64, n)
 	}
-}
-
-// shardLabel returns the cached pprof label value for shard i.
-func (c *Cluster) shardLabel(i int) string {
-	if c.shardLabels == nil {
-		c.shardLabels = make([]string, len(c.engines))
-		for s := range c.shardLabels {
-			c.shardLabels[s] = strconv.Itoa(s)
-		}
-	}
-	return c.shardLabels[i]
-}
-
-// workerLabel returns the cached pprof label value for worker w.
-func (c *Cluster) workerLabel(w int) string {
-	for len(c.workerLabels) <= w {
-		c.workerLabels = append(c.workerLabels, strconv.Itoa(len(c.workerLabels)))
-	}
-	return c.workerLabels[w]
 }
 
 // earliest returns the minimum next-event time across all shards.
@@ -349,7 +332,7 @@ func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, wo
 				// which is noise next to a goroutine spawn but would break
 				// the serial window loop's 0 allocs/op.
 				pprof.Do(context.Background(),
-					pprof.Labels("cord_shard", c.shardLabel(i), "cord_worker", c.workerLabel(w)),
+					pprof.Labels("cord_shard", c.labels[i], "cord_worker", c.labels[w]),
 					func(context.Context) {
 						var s0 time.Duration
 						var e0 uint64

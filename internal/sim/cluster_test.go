@@ -1,45 +1,74 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
 
-// chanExchanger is a minimal Exchanger for cluster tests: messages are
-// (time, destination shard, fn) triples buffered by the test and injected at
-// Flush in deterministic order.
+// chanExchanger is a minimal Exchanger for cluster tests that mirrors the
+// NoC's ownership contract, so the race detector sees the real access
+// pattern: each shard appends cross-shard (time, destination shard, fn)
+// triples to its own outbox while windows run in parallel, and Flush —
+// single-threaded, at the window barrier — injects every due one in
+// (time, source shard, post order) order. Any barrier bug (a worker still
+// running while Flush reads its outbox, a window overrunning its deadline
+// into another shard's territory) is a data race here.
 type chanExchanger struct {
-	c    *Cluster
-	msgs []xchMsg
+	c      *Cluster
+	outbox [][]xchMsg // by source shard, owned by that shard's worker
+	due    []xchMsg   // Flush scratch
 }
 
 type xchMsg struct {
 	at  Time
+	src int
 	dst int
 	fn  func()
 }
 
-func (x *chanExchanger) post(at Time, dst int, fn func()) {
-	x.msgs = append(x.msgs, xchMsg{at: at, dst: dst, fn: fn})
+func newChanExchanger(c *Cluster) *chanExchanger {
+	return &chanExchanger{c: c, outbox: make([][]xchMsg, c.Shards())}
+}
+
+// post buffers fn for shard dst at time at; call it only from events of
+// shard src.
+func (x *chanExchanger) post(src int, at Time, dst int, fn func()) {
+	x.outbox[src] = append(x.outbox[src], xchMsg{at: at, src: src, dst: dst, fn: fn})
 }
 
 func (x *chanExchanger) Flush(horizon Time) (int, Time) {
-	keep := x.msgs[:0]
-	for _, m := range x.msgs {
-		if m.at <= horizon {
-			x.c.Engine(m.dst).ScheduleAt(m.at, m.fn)
-		} else {
+	due := x.due[:0]
+	remaining := 0
+	var earliest Time
+	for src, ob := range x.outbox {
+		keep := ob[:0]
+		for _, m := range ob {
+			if m.at <= horizon {
+				due = append(due, m)
+				continue
+			}
+			if remaining == 0 || m.at < earliest {
+				earliest = m.at
+			}
+			remaining++
 			keep = append(keep, m)
 		}
+		x.outbox[src] = keep
 	}
-	x.msgs = keep
-	var earliest Time
-	for i, m := range keep {
-		if i == 0 || m.at < earliest {
-			earliest = m.at
+	// Stable, so messages from one source keep their post order.
+	slices.SortStableFunc(due, func(a, b xchMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.src, b.src)
+	})
+	for _, m := range due {
+		x.c.Engine(m.dst).ScheduleAt(m.at, m.fn)
 	}
-	return len(keep), earliest
+	x.due = due
+	return remaining, earliest
 }
 
 func TestClusterShardZeroMatchesPlainEngine(t *testing.T) {
@@ -62,7 +91,7 @@ func TestClusterWindowedCompletion(t *testing.T) {
 		const shards = 4
 		const window = Time(50)
 		c := NewCluster(7, shards, window)
-		ex := &chanExchanger{c: c}
+		ex := newChanExchanger(c)
 		var hops int
 		var send func(from int)
 		send = func(from int) {
@@ -72,7 +101,7 @@ func TestClusterWindowedCompletion(t *testing.T) {
 			hops++
 			dst := (from + 1) % shards
 			at := c.Engine(from).Now() + window // minimum legal cross-shard delay
-			ex.post(at, dst, func() { send(dst) })
+			ex.post(from, at, dst, func() { send(dst) })
 		}
 		c.Engine(0).Schedule(1, func() { send(0) })
 		if err := c.Run(workers, ex); err != nil {
@@ -89,10 +118,10 @@ func TestClusterDrainsLateBufferedMessages(t *testing.T) {
 	// is empty afterwards — must still be delivered: the scheduler re-probes
 	// the exchanger after each window.
 	c := NewCluster(1, 2, Time(10))
-	ex := &chanExchanger{c: c}
+	ex := newChanExchanger(c)
 	delivered := false
 	c.Engine(0).Schedule(5, func() {
-		ex.post(c.Engine(0).Now()+10, 1, func() { delivered = true })
+		ex.post(0, c.Engine(0).Now()+10, 1, func() { delivered = true })
 	})
 	if err := c.Run(1, ex); err != nil {
 		t.Fatal(err)
@@ -144,7 +173,7 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) outcome {
 		const shards = 8
 		c := NewCluster(11, shards, Time(20))
-		ex := &chanExchanger{c: c}
+		ex := newChanExchanger(c)
 		var sum atomic.Uint64
 		for s := 0; s < shards; s++ {
 			s := s
@@ -158,7 +187,7 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 					if rounds%3 == 0 {
 						dst := (s + 3) % shards
 						at := c.Engine(s).Now() + 20
-						ex.post(at, dst, func() { sum.Add(uint64(at)) })
+						ex.post(s, at, dst, func() { sum.Add(uint64(at)) })
 					}
 				}
 			}
@@ -197,7 +226,7 @@ func TestClusterWindowObserver(t *testing.T) {
 		c := NewCluster(5, shards, Time(25))
 		cap := &windowCapture{}
 		c.SetWindowObserver(cap)
-		ex := &chanExchanger{c: c}
+		ex := newChanExchanger(c)
 		for s := 0; s < shards; s++ {
 			s := s
 			rounds := 0
@@ -208,7 +237,7 @@ func TestClusterWindowObserver(t *testing.T) {
 					c.Engine(s).Schedule(Time(2+s), tick)
 					if rounds%4 == 0 {
 						dst := (s + 1) % shards
-						ex.post(c.Engine(s).Now()+25, dst, func() {})
+						ex.post(s, c.Engine(s).Now()+25, dst, func() {})
 					}
 				}
 			}

@@ -7,43 +7,6 @@ import (
 	"time"
 )
 
-// raceExchanger mirrors the NoC's ownership contract so the race detector
-// sees the real access pattern: each shard appends cross-shard messages to
-// its own outbox while windows run in parallel, and Flush — single-threaded,
-// at the window barrier — drains every outbox into the destination engines.
-// Any barrier bug (a worker still running while Flush reads its outbox, a
-// window overrunning its deadline into another shard's territory) is a data
-// race here, which is exactly what `go test -race` hammers.
-type raceExchanger struct {
-	c   *Cluster
-	out [][]xchMsg // outbox per source shard, owned by that shard's worker
-}
-
-func (x *raceExchanger) post(src int, at Time, dst int, fn func()) {
-	x.out[src] = append(x.out[src], xchMsg{at: at, dst: dst, fn: fn})
-}
-
-func (x *raceExchanger) Flush(horizon Time) (int, Time) {
-	remaining := 0
-	var earliest Time
-	for src := range x.out {
-		keep := x.out[src][:0]
-		for _, m := range x.out[src] {
-			if m.at <= horizon {
-				x.c.Engine(m.dst).ScheduleAt(m.at, m.fn)
-				continue
-			}
-			if remaining == 0 || m.at < earliest {
-				earliest = m.at
-			}
-			remaining++
-			keep = append(keep, m)
-		}
-		x.out[src] = keep
-	}
-	return remaining, earliest
-}
-
 // TestClusterRaceHammer drives the window barrier and the cross-shard
 // inboxes as hard as the -race build affords: 16 shards ping-ponging
 // cross-shard work at 8 workers, with a randomized seed per iteration (the
@@ -76,7 +39,7 @@ func hammerOnce(t *testing.T, seed int64, workers int) uint64 {
 	const shards = 16
 	const window = Time(8)
 	c := NewCluster(seed, shards, window)
-	ex := &raceExchanger{c: c, out: make([][]xchMsg, shards)}
+	ex := newChanExchanger(c)
 	var digest atomic.Uint64
 	var live atomic.Int64
 	mix := func(s int, at Time) {
