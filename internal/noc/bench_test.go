@@ -69,8 +69,8 @@ func BenchmarkSendJittered(b *testing.B) {
 }
 
 // BenchmarkSendInterHostPartitioned: the same cross-host send on the
-// host-partitioned network — outbox append, window-barrier Flush (partition
-// + sort + inject), and slot-based delivery on the destination shard. Mixed
+// host-partitioned network — outbox append, window-barrier Flush (outbox
+// walk + inject), and slot-based delivery on the destination shard. Mixed
 // with an intra-host send per pair so the measurement also covers shard-local
 // scheduling through the cached per-host engine.
 func BenchmarkSendInterHostPartitioned(b *testing.B) {
@@ -103,5 +103,52 @@ func BenchmarkSendInterHostPartitioned(b *testing.B) {
 	b.ResetTimer()
 	for n := b.N; n > 0; n -= 1024 {
 		round(512) // 512 pairs = 1024 sends per round
+	}
+}
+
+// BenchmarkSendAllToAllPartitioned is the many-source merge: every core of
+// all 8 hosts sends to a directory on each of 4 other hosts per round, so
+// each window's Flush merges 256 messages from every source outbox — the
+// traffic shape of the paper's multi-host runs; one op is one send.
+// BenchmarkSendInterHostPartitioned has a single source and never stresses
+// the merge.
+func BenchmarkSendAllToAllPartitioned(b *testing.B) {
+	cfg := CXLConfig() // 8 hosts x 8 tiles, jitter on
+	cl, net := partitionedNet(cfg, 1)
+	payload := any(&benchMsg{v: 42})
+	const fanout = 4
+	perRound := cfg.Hosts * cfg.TilesPerHost * fanout
+	drivers := make([]sim.DeliverFunc, cfg.Hosts)
+	for h := range drivers {
+		drivers[h] = func(_ uint64, _ any) {
+			for t := 0; t < cfg.TilesPerHost; t++ {
+				for i := 1; i <= fanout; i++ {
+					dst := DirID((h+i)%cfg.Hosts, (t+i)%cfg.TilesPerHost)
+					net.Send(CoreID(h, t), dst, stats.ClassRelaxedData, 80, payload)
+				}
+			}
+		}
+	}
+	round := func() {
+		var at sim.Time
+		for _, e := range cl.Engines() {
+			if now := e.Now(); now > at {
+				at = now
+			}
+		}
+		for h, e := range cl.Engines() {
+			e.ScheduleDeliverAt(at+1, drivers[h], 0, nil)
+		}
+		if err := cl.Run(1, net); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= perRound {
+		round()
 	}
 }

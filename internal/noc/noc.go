@@ -13,8 +13,9 @@
 // (NewPartitioned) serves the host-sharded cluster scheduler: intra-host
 // deliveries schedule directly on the source host's engine, while cross-host
 // sends are buffered in a source-shard-owned outbox and injected into the
-// destination shard at the next window barrier (Flush) in deterministic
-// (time, source host, sequence) order — the sim.Exchanger contract.
+// destination shard at the next window barrier (Flush), walking the outboxes
+// in host order so same-cycle arrivals at one engine are ordered by (source
+// host, send order) — the sim.Exchanger contract.
 package noc
 
 import (
@@ -216,21 +217,18 @@ func unpackID(w uint64) NodeID {
 	return NodeID{Host: int(w >> 33), Tile: int(w >> 1 & 0xFFFFFFFF), Kind: NodeKind(w & 1)}
 }
 
-// xmsg is one buffered cross-shard message in partitioned mode. The
-// (at, srcHost, seq) triple is the deterministic injection order at the
-// window barrier: at and srcHost fix the position across shards, seq (a
-// per-source-host counter) fixes it within one shard's same-cycle sends.
+// xmsg is one buffered cross-shard message in partitioned mode. Its source
+// host is the outbox it sits in and its send order is its position there;
+// Flush derives the injection order from both (see Flush).
 type xmsg struct {
 	at      sim.Time
-	seq     uint64
-	srcHost int32
-	dstIdx  int32
-	traced  bool
-	src     uint64 // packed source NodeID
-	class   stats.MsgClass
-	bytes   int32
+	src     uint64   // packed source NodeID
 	dur     sim.Time // full source-to-destination latency, for the KDeliver event
 	payload any
+	dstIdx  int32
+	bytes   int32
+	class   uint8 // stats.MsgClass
+	traced  bool
 }
 
 // Network connects cores and directories. Handlers are registered per node;
@@ -253,11 +251,7 @@ type Network struct {
 	engines  []*sim.Engine
 	traffics []*stats.Traffic
 	recs     []*obs.Recorder
-	outbox   [][]xmsg // [src shard] -> buffered cross-host sends
-	seqs     []uint64 // per-source-host send sequence numbers
-	held     []xmsg   // messages beyond the last flush horizon
-	due      []xmsg   // scratch: messages injected this flush
-	scratch  []xmsg   // scratch: next held buffer
+	outbox   [][]xmsg // [src shard] -> buffered cross-host sends, in send order
 
 	// egress[h] is host h's directional switch port; its serialization
 	// state is owned by the sending host's shard.
@@ -326,7 +320,6 @@ func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic
 	n.engines = engines
 	n.traffics = traffics
 	n.outbox = make([][]xmsg, cfg.Hosts)
-	n.seqs = make([]uint64, cfg.Hosts)
 	return n
 }
 
@@ -543,11 +536,9 @@ func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, by
 		}
 	}
 	if interHost {
-		n.seqs[sh]++
 		n.outbox[sh] = append(n.outbox[sh], xmsg{
-			at: eng.Now() + delay, seq: n.seqs[sh], srcHost: int32(sh),
-			dstIdx: int32(idx), traced: traced, src: packID(src),
-			class: class, bytes: int32(bytes), dur: delay, payload: payload,
+			at: eng.Now() + delay, src: packID(src), dur: delay, payload: payload,
+			dstIdx: int32(idx), bytes: int32(bytes), class: uint8(class), traced: traced,
 		})
 		return
 	}
@@ -565,70 +556,44 @@ func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, by
 }
 
 // Flush implements sim.Exchanger: it injects every buffered cross-host
-// message with arrival time <= horizon into its destination shard's engine,
-// in (arrival time, source host, per-host sequence) order — a total order,
-// since the sequence is unique per source host. Later messages are retained
-// for a future window. Flush runs single-threaded at the window barrier, so
-// it may touch every shard's engine and outbox.
-func (n *Network) Flush(horizon sim.Time) (int, sim.Time) {
-	due := n.due[:0]
-	keep := n.scratch[:0]
-	for _, m := range n.held {
-		if m.at <= horizon {
-			due = append(due, m)
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	for sh := range n.outbox {
-		ob := n.outbox[sh]
-		for _, m := range ob {
-			if m.at <= horizon {
-				due = append(due, m)
-			} else {
-				keep = append(keep, m)
-			}
-		}
+// message with arrival time <= horizon into its destination shard's engine
+// and retains the rest for a future window. It walks the outboxes in host
+// order and each outbox in send order, so same-cycle arrivals at one engine
+// are injected — and, since sim.Engine fires in (time, insertion) order,
+// delivered — in (source host, send order). No sort is needed: the engine
+// orders different arrival times itself. Retained messages are compacted in
+// place at the front of their own outbox, ahead of that host's later sends;
+// moving them to a shared list injected first would break the order. Flush
+// runs single-threaded at the window barrier, so it may touch every shard's
+// engine and outbox.
+func (n *Network) Flush(horizon sim.Time) (remaining int, earliest sim.Time) {
+	injected, bytes := 0, 0
+	for sh, ob := range n.outbox {
+		keep := 0
 		for i := range ob {
-			ob[i].payload = nil // release references; entries were copied out
+			m := &ob[i]
+			if m.at <= horizon {
+				n.inject(m)
+				injected++
+				bytes += int(m.bytes)
+				continue
+			}
+			if remaining == 0 || m.at < earliest {
+				earliest = m.at
+			}
+			remaining++
+			if keep != i {
+				ob[keep] = *m
+			}
+			keep++
 		}
-		n.outbox[sh] = ob[:0]
-	}
-	slices.SortFunc(due, func(a, b xmsg) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.srcHost, b.srcHost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for i := range due {
-		n.inject(&due[i])
+		clear(ob[keep:]) // release payload references
+		n.outbox[sh] = ob[:keep]
 	}
 	if n.fobs != nil {
-		bytes := 0
-		for i := range due {
-			bytes += int(due[i].bytes)
-		}
-		n.fobs.RecordFlush(len(due), len(keep), bytes)
+		n.fobs.RecordFlush(injected, remaining, bytes)
 	}
-	for i := range due {
-		due[i].payload = nil
-	}
-	n.due = due[:0]
-	old := n.held
-	for i := range old {
-		old[i].payload = nil
-	}
-	n.held, n.scratch = keep, old[:0]
-	var earliest sim.Time
-	for i := range keep {
-		if i == 0 || keep[i].at < earliest {
-			earliest = keep[i].at
-		}
-	}
-	return len(keep), earliest
+	return remaining, earliest
 }
 
 // inject schedules one flushed cross-host arrival on its destination shard.
@@ -646,7 +611,7 @@ func (n *Network) inject(m *xmsg) {
 	h := n.handlers[m.dstIdx]
 	src := unpackID(m.src)
 	osrc, odst := src.Obs(), dst.Obs()
-	class, bytes, dur, payload := m.class, int(m.bytes), m.dur, m.payload
+	class, bytes, dur, payload := stats.MsgClass(m.class), int(m.bytes), m.dur, m.payload
 	eng.ScheduleAt(m.at, func() {
 		rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
 			Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: dur})

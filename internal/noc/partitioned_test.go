@@ -28,7 +28,7 @@ func partitionedNet(cfg Config, seed int64) (*sim.Cluster, *Network) {
 
 // TestPartitionedSendZeroAllocUntraced extends the hot-path allocation guard
 // to partitioned mode: steady-state intra-host sends, cross-host buffering
-// (outbox append), the window-barrier Flush sort, and injection must all be
+// (outbox append), the window-barrier Flush walk, and injection must all be
 // allocation-free once buffers have grown. The driver event is scheduled
 // through the slot-based ScheduleDeliver so the test harness itself adds no
 // allocations.

@@ -81,12 +81,13 @@ type WindowObserver interface {
 // Determinism is independent of the worker count by construction: the
 // partition (one shard per host) and the window sequence depend only on event
 // timestamps, never on which worker ran a shard, and the Exchanger injects
-// cross-shard messages in a total (time, source-host, sequence) order at the
-// single-threaded barrier. Workers only decide how many shards execute their
-// window concurrently; each shard's event order is fully determined either
-// way, so a 1-worker run and an 8-worker run are byte-identical. Runtime
-// telemetry (SetWindowObserver) reads only the wall clock and engine event
-// counters — it observes the schedule without becoming an input to it.
+// cross-shard messages at the single-threaded barrier so that same-time
+// arrivals at one shard follow (source host, send order). Workers only
+// decide how many shards execute their window concurrently; each shard's
+// event order is fully determined either way, so a 1-worker run and an
+// 8-worker run are byte-identical. Runtime telemetry (SetWindowObserver)
+// reads only the wall clock and engine event counters — it observes the
+// schedule without becoming an input to it.
 type Cluster struct {
 	engines []*Engine
 	window  Time

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"cmp"
-	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -11,19 +9,19 @@ import (
 // NoC's ownership contract, so the race detector sees the real access
 // pattern: each shard appends cross-shard (time, destination shard, fn)
 // triples to its own outbox while windows run in parallel, and Flush —
-// single-threaded, at the window barrier — injects every due one in
-// (time, source shard, post order) order. Any barrier bug (a worker still
-// running while Flush reads its outbox, a window overrunning its deadline
-// into another shard's territory) is a data race here.
+// single-threaded, at the window barrier — walks the outboxes in shard order
+// and each in post order, injecting every due message, so same-time arrivals
+// at one shard are ordered by (source shard, post order) as in the NoC. Any
+// barrier bug (a worker still running while Flush reads its outbox, a window
+// overrunning its deadline into another shard's territory) is a data race
+// here.
 type chanExchanger struct {
 	c      *Cluster
 	outbox [][]xchMsg // by source shard, owned by that shard's worker
-	due    []xchMsg   // Flush scratch
 }
 
 type xchMsg struct {
 	at  Time
-	src int
 	dst int
 	fn  func()
 }
@@ -35,18 +33,15 @@ func newChanExchanger(c *Cluster) *chanExchanger {
 // post buffers fn for shard dst at time at; call it only from events of
 // shard src.
 func (x *chanExchanger) post(src int, at Time, dst int, fn func()) {
-	x.outbox[src] = append(x.outbox[src], xchMsg{at: at, src: src, dst: dst, fn: fn})
+	x.outbox[src] = append(x.outbox[src], xchMsg{at: at, dst: dst, fn: fn})
 }
 
-func (x *chanExchanger) Flush(horizon Time) (int, Time) {
-	due := x.due[:0]
-	remaining := 0
-	var earliest Time
+func (x *chanExchanger) Flush(horizon Time) (remaining int, earliest Time) {
 	for src, ob := range x.outbox {
 		keep := ob[:0]
 		for _, m := range ob {
 			if m.at <= horizon {
-				due = append(due, m)
+				x.c.Engine(m.dst).ScheduleAt(m.at, m.fn)
 				continue
 			}
 			if remaining == 0 || m.at < earliest {
@@ -57,17 +52,6 @@ func (x *chanExchanger) Flush(horizon Time) (int, Time) {
 		}
 		x.outbox[src] = keep
 	}
-	// Stable, so messages from one source keep their post order.
-	slices.SortStableFunc(due, func(a, b xchMsg) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.src, b.src)
-	})
-	for _, m := range due {
-		x.c.Engine(m.dst).ScheduleAt(m.at, m.fn)
-	}
-	x.due = due
 	return remaining, earliest
 }
 
