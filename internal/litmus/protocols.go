@@ -512,6 +512,5 @@ func (c *checker) serveNotify(s *world, d int, m core.Msg) {
 func (c *checker) reeval(s *world, d int) {
 	s.dirs[d].cord.Reeval(d,
 		func(m core.Msg) { c.commitRelease(s, d, m) },
-		func(out core.Msg) { s.net = append(s.net, out) },
-		func() {})
+		func(out core.Msg) { s.net = append(s.net, out) })
 }

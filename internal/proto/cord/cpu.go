@@ -15,8 +15,8 @@ import (
 // cpu is the CORD processor-side adapter (Alg. 1). Every ordering decision —
 // admission, provisioning, release/barrier fan-out, acknowledgment
 // bookkeeping — is delegated to core.CordProc, the rule set the litmus model
-// checker explores; this type owns only timing, wire formats, NoC injection,
-// stats, and obs events.
+// checker explores, and the messages those rules emit go on the wire as they
+// are; this type owns only timing, NoC injection, stats, and obs events.
 type cpu struct {
 	proto.ProcBase
 	cfg Config
@@ -25,9 +25,6 @@ type cpu struct {
 	// st is the protocol-visible state (epoch, store counters, unacked-epoch
 	// table), mutated exclusively through core rules.
 	st core.CordProc
-	// tiles maps between noc.NodeID and the core rules' dense indices
-	// (host*tiles+tile), whose ascending order matches noc.SortIDs.
-	tiles int
 	// buf is the reusable fan-out scratch passed to core emit rules.
 	buf []core.Msg
 
@@ -55,12 +52,10 @@ type cpu struct {
 }
 
 func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, cp core.CordParams) *cpu {
-	nc := sys.Net.Config()
 	c := &cpu{
 		cfg:        cfg,
 		cp:         cp,
-		st:         core.NewCordProc(nc.Hosts * nc.TilesPerHost),
-		tiles:      nc.TilesPerHost,
+		st:         core.NewCordProc(sys.Indices()),
 		occCnt:     stats.NewOccupancy("proc/store-counter", procCntEntryBytes),
 		occUnacked: stats.NewOccupancy("proc/unacked-epoch", procUnackedEntryBytes),
 		relIssued:  make(map[uint64]sim.Time),
@@ -71,12 +66,6 @@ func newCPU(sys *proto.System, id noc.NodeID, ps *stats.ProcStats, cfg Config, c
 	sys.Run.Tables = append(sys.Run.Tables, c.occCnt, c.occUnacked)
 	return c
 }
-
-// ix is the dense index of a node (core or directory) for the core rules.
-func (c *cpu) ix(id noc.NodeID) int { return id.Host*c.tiles + id.Tile }
-
-// dirAt is ix's inverse for directories.
-func (c *cpu) dirAt(ix int) noc.NodeID { return noc.DirID(ix/c.tiles, ix%c.tiles) }
 
 // Conditions a CORD core blocks on. Except for an ordered atomic's epoch,
 // the blocked op is re-executed from the top once its condition clears.
@@ -111,24 +100,23 @@ func (c *cpu) Ready(w proto.Wait) bool {
 	panic(fmt.Sprintf("cord: unknown wait %d", w.On))
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
-		c.HandleLoadResp(m)
-	case *ackMsg:
-		c.onAck(m)
-	case *wbAckMsg:
+// Receive implements proto.Adapter.
+func (c *cpu) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MAck:
+		c.onAck(m.Ep)
+	case core.MWBAck:
 		if c.wbPending == 0 {
 			panic("cord: spurious write-back ack")
 		}
 		c.wbPending--
 		c.Wake()
-	case *atomicRespMsg:
+	case core.MAtomicResp:
 		if !c.Respond(m.Tag) {
 			panic("cord: unknown atomic response tag")
 		}
 	default:
-		panic(fmt.Sprintf("cord: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("cord: cpu %v got unexpected message %v", c.ID, m.Kind))
 	}
 }
 
@@ -168,18 +156,12 @@ func (c *cpu) execRelaxed(op proto.Op) {
 		c.Retire()
 		return
 	}
-	d := c.Sys.Map.HomeOf(op.Addr)
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
 	if !c.admitRelaxed(d) {
 		return
 	}
-	ep, newEntry := c.st.NoteRelaxed(c.ix(d))
-	if newEntry {
-		c.occCnt.Inc()
-	}
 	c.wcAddr, c.wcValid = op.Addr, true
-	c.Sys.Net.Send(c.ID, d, stats.ClassRelaxedData,
-		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
-		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value, Size: op.Size})
+	c.sendRelaxed(op, d, stats.ClassRelaxedData, 0)
 	c.Retire()
 }
 
@@ -190,9 +172,9 @@ func (c *cpu) execRelaxed(op proto.Op) {
 // re-executes in the new epoch. Acknowledgments never change the store
 // counters, so a re-execution after a provisioning stall reaches the same
 // verdict.
-func (c *cpu) admitRelaxed(d noc.NodeID) bool {
+func (c *cpu) admitRelaxed(d int) bool {
 	var kind stats.StallKind
-	switch c.st.RelaxedAdmit(c.cp, c.ix(d)) {
+	switch c.st.RelaxedAdmit(c.cp, d) {
 	case core.AdmitOK:
 		return true
 	case core.AdmitOverflow:
@@ -203,7 +185,7 @@ func (c *cpu) admitRelaxed(d noc.NodeID) bool {
 		// directory needs a table entry; flush the epoch to recycle them all.
 		kind = stats.StallTableFull
 	}
-	if !c.provisioned(c.ix(d)) {
+	if !c.provisioned(d) {
 		return false
 	}
 	c.OverflowFlushes++
@@ -215,15 +197,14 @@ func (c *cpu) admitRelaxed(d noc.NodeID) bool {
 // --- Release path (Alg. 1 lines 5-13) -------------------------------------
 
 func (c *cpu) execRelease(op proto.Op) {
-	d := c.Sys.Map.HomeOf(op.Addr)
-	di := c.ix(d)
-	if !c.provisioned(di) {
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
+	if !c.provisioned(d) {
 		return
 	}
-	if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
+	if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
 		// Ablation: without inter-directory notifications, multi-directory
 		// epochs are source-ordered — drain other directories first.
-		c.drainOthers(di)
+		c.drainOthers(d)
 		return
 	}
 	c.issueRelease(op, d)
@@ -237,7 +218,7 @@ func (c *cpu) execRelease(op proto.Op) {
 // outside `except` — and the op re-executes once they are drained. Used
 // only by the NoNotifications ablation.
 func (c *cpu) drainOthers(except int) {
-	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.ix(c.ID), c.buf[:0])
+	msgs, ok, bad := c.st.IssueBarrier(c.cp, except, c.Ix, c.buf[:0])
 	if !ok {
 		c.stallProvision(bad)
 		return
@@ -256,13 +237,27 @@ func (c *cpu) drainOthers(except int) {
 
 // sendBarriers injects core-emitted empty Releases onto the NoC.
 func (c *cpu) sendBarriers(msgs []core.Msg) {
-	for i := range msgs {
-		m := &msgs[i]
-		rel := &releaseMsg{Src: c.ID, Ep: m.Ep, Cnt: m.Cnt, Barrier: true,
-			HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-		c.Sys.Net.Send(c.ID, c.dirAt(m.Dir), stats.ClassBarrier,
-			proto.HeaderBytes+c.cfg.ReleaseOverhead(), rel)
+	for _, m := range msgs {
+		c.send(m, stats.ClassBarrier, proto.HeaderBytes+c.cfg.ReleaseOverhead())
 	}
+}
+
+// send boxes a core-emitted message and injects it towards directory m.Dir.
+func (c *cpu) send(m core.Msg, class stats.MsgClass, bytes int) {
+	c.Sys.Net.Send(c.ID, c.Sys.DirAt(m.Dir), class, bytes, &m)
+}
+
+// sendRelaxed counts a relaxed store or atomic to directory d in the current
+// epoch and injects it, tagged with the epoch. tag is an atomic's response
+// tag (atomic tags start at 1); a plain store passes 0.
+func (c *cpu) sendRelaxed(op proto.Op, d int, class stats.MsgClass, tag uint64) {
+	ep, newEntry := c.st.NoteRelaxed(d)
+	if newEntry {
+		c.occCnt.Inc()
+	}
+	c.send(core.Msg{Kind: core.MRelaxed, Src: c.Ix, Dir: d, Ep: ep, Addr: uint64(op.Addr),
+		Val: op.Value, Size: op.Size, Atomic: tag != 0, Tag: tag},
+		class, proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead())
 }
 
 // provisioned reports whether a release bound for directory d can issue
@@ -286,26 +281,18 @@ func (c *cpu) stallProvision(d int) {
 // issueRelease delegates the Release (and its notification fan-out) to the
 // core rule and injects the emitted messages in order. The caller has
 // already verified provisioning.
-func (c *cpu) issueRelease(op proto.Op, d noc.NodeID) {
+func (c *cpu) issueRelease(op proto.Op, d int) {
 	ep := c.st.Ep
 	live := c.st.CntLive
-	rel := core.Msg{Src: c.ix(c.ID), Addr: uint64(op.Addr), Val: op.Value,
+	rel := core.Msg{Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
 		Size: op.Size, Barrier: op.Size == 0, Atomic: op.Kind == proto.OpAtomic}
-	msgs := c.st.IssueRelease(c.ix(d), rel, c.buf[:0])
-	for i := range msgs {
-		m := &msgs[i]
+	msgs := c.st.IssueRelease(d, rel, c.buf[:0])
+	for _, m := range msgs {
 		if m.Kind == core.MReqNotify {
-			w := &reqNotifyMsg{Src: c.ID, Ep: m.Ep, RelaxedCnt: m.Cnt, Dst: d,
-				HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-			c.Sys.Net.Send(c.ID, c.dirAt(m.Dir), stats.ClassReqNotify,
-				proto.ReqNotifyBytes, w)
-			continue
+			c.send(m, stats.ClassReqNotify, proto.ReqNotifyBytes)
+		} else {
+			c.send(m, stats.ClassReleaseData, proto.HeaderBytes+op.Size+c.cfg.ReleaseOverhead())
 		}
-		w := &releaseMsg{Src: c.ID, Ep: m.Ep, Cnt: m.Cnt, NotiCnt: m.NotiCnt,
-			Addr: op.Addr, Value: op.Value, Size: op.Size, Barrier: m.Barrier,
-			Atomic: m.Atomic, HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-		c.Sys.Net.Send(c.ID, d, stats.ClassReleaseData,
-			proto.HeaderBytes+op.Size+c.cfg.ReleaseOverhead(), w)
 	}
 	c.buf = msgs
 	c.occUnacked.Inc()
@@ -330,14 +317,13 @@ func (c *cpu) execAtomic(op proto.Op) {
 	if c.Sys.Mode == proto.TSO && ord == proto.Relaxed {
 		ord = proto.Release
 	}
-	d := c.Sys.Map.HomeOf(op.Addr)
-	di := c.ix(d)
+	d := c.Sys.Index(c.Sys.Map.HomeOf(op.Addr))
 	if ord == proto.Release || ord == proto.SeqCst {
-		if !c.provisioned(di) {
+		if !c.provisioned(d) {
 			return
 		}
-		if c.cp.NoNotifications && (c.st.DirtyOutside(di) || c.st.UnackedOutside(di)) {
-			c.drainOthers(di)
+		if c.cp.NoNotifications && (c.st.DirtyOutside(d) || c.st.UnackedOutside(d)) {
+			c.drainOthers(d)
 			return
 		}
 		aop := op
@@ -352,17 +338,10 @@ func (c *cpu) execAtomic(op proto.Op) {
 	if !c.admitRelaxed(d) {
 		return
 	}
-	ep, newEntry := c.st.NoteRelaxed(di)
-	if newEntry {
-		c.occCnt.Inc()
-	}
 	c.wcValid = false // atomics never write-combine
 	c.atomicTag++
 	c.Block(proto.Wait{On: proto.WaitResp, Arg: c.atomicTag, Stall: stats.StallAcquire, Retire: true})
-	c.Sys.Net.Send(c.ID, d, stats.ClassAtomic,
-		proto.HeaderBytes+op.Size+c.cfg.RelaxedOverhead(),
-		&relaxedMsg{Src: c.ID, Ep: ep, Addr: op.Addr, Value: op.Value,
-			Size: op.Size, Atomic: true, Tag: c.atomicTag})
+	c.sendRelaxed(op, d, stats.ClassAtomic, c.atomicTag)
 }
 
 // --- Write-back stores (§4.4) ----------------------------------------------
@@ -396,7 +375,8 @@ func (c *cpu) sendWB(op proto.Op) {
 	c.wcValid = false
 	home := c.Sys.Map.HomeOf(op.Addr)
 	c.Sys.Net.Send(c.ID, home, stats.ClassWriteback, proto.HeaderBytes+op.Size,
-		&wbMsg{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.wbNextTag})
+		&core.Msg{Kind: core.MWBData, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
+			Size: op.Size, Tag: c.wbNextTag})
 }
 
 // --- Release / SC barrier (§4.4) ------------------------------------------
@@ -411,7 +391,7 @@ func (c *cpu) sendWB(op proto.Op) {
 // then finds nothing to broadcast.
 func (c *cpu) barrier() bool {
 	live := c.st.CntLive
-	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.ix(c.ID), c.buf[:0])
+	msgs, ok, bad := c.st.IssueBarrier(c.cp, -1, c.Ix, c.buf[:0])
 	if !ok {
 		c.stallProvision(bad)
 		return false
@@ -430,18 +410,18 @@ func (c *cpu) barrier() bool {
 
 // --- Acknowledgments (Alg. 1 lines 14-15) ---------------------------------
 
-func (c *cpu) onAck(m *ackMsg) {
-	if c.st.AckRelease(m.Ep) {
+func (c *cpu) onAck(ep uint64) {
+	if c.st.AckRelease(ep) {
 		c.occUnacked.Dec()
 		var lat sim.Time
-		if at, ok := c.relIssued[m.Ep]; ok {
+		if at, ok := c.relIssued[ep]; ok {
 			lat = c.Now() - at
 			c.PS.ReleaseLatency.Add(lat)
-			delete(c.relIssued, m.Ep)
+			delete(c.relIssued, ep)
 		}
 		if rec := c.Obs; rec.Take() {
 			rec.Record(obs.Event{At: c.Now(), Kind: obs.KRelAck,
-				Src: c.ID.Obs(), Seq: m.Ep, Dur: lat})
+				Src: c.ID.Obs(), Seq: ep, Dur: lat})
 		}
 	}
 	c.Wake()

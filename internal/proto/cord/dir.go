@@ -3,7 +3,6 @@ package cord
 import (
 	"fmt"
 
-	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
 	"cord/internal/proto"
@@ -14,8 +13,8 @@ import (
 // dir is the CORD directory-side adapter (Alg. 2). Each instance is one LLC
 // slice's directory. Eligibility, commit bookkeeping, notification serving,
 // and the recycle fixpoint are all core.CordDir rules — the same rules the
-// litmus model checker explores; this type owns timing (scheduled LLC
-// commits), wire formats, stats, and obs events.
+// litmus model checker explores; proto.DirBase times the LLC commits, and
+// this type owns stats and obs events.
 type dir struct {
 	proto.DirBase
 	cfg Config
@@ -23,30 +22,20 @@ type dir struct {
 	// st holds the protocol-visible tables (store counters, notification
 	// counters, largest committed epochs, recycle buffers).
 	st core.CordDir
-	// self is this directory's dense index; tiles maps node IDs to indices.
-	self  int
-	tiles int
 
 	occCnt, occNoti, occLargest, occNetBuf *stats.Occupancy
-
-	// Recycles counts how many times a buffered message was re-evaluated
-	// without becoming eligible, for diagnostics.
-	Recycles int
 }
 
 func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
-	nc := sys.Net.Config()
 	d := &dir{
 		cfg:        cfg,
-		st:         core.NewCordDir(nc.Hosts * nc.TilesPerHost),
-		self:       id.Host*nc.TilesPerHost + id.Tile,
-		tiles:      nc.TilesPerHost,
+		st:         core.NewCordDir(sys.Indices()),
 		occCnt:     stats.NewOccupancy("dir/store-counter", dirCntEntryBytes),
 		occNoti:    stats.NewOccupancy("dir/notification-counter", dirNotiEntryBytes),
 		occLargest: stats.NewOccupancy("dir/largest-epoch", dirLargestEpEntryBytes),
 		occNetBuf:  stats.NewOccupancy("dir/network-buffer", dirNetBufEntryBytes),
 	}
-	d.InitBase(sys, id)
+	d.InitBase(sys, id, d)
 	for _, o := range []*stats.Occupancy{d.occCnt, d.occNoti, d.occLargest, d.occNetBuf} {
 		o.Instance = id.String()
 	}
@@ -54,33 +43,37 @@ func newDir(sys *proto.System, id noc.NodeID, cfg Config) *dir {
 	return d
 }
 
-// pix is the dense index of a node (processor or directory) for the core
-// rules.
-func (d *dir) pix(id noc.NodeID) int { return id.Host*d.tiles + id.Tile }
-
-// coreAt is pix's inverse: the core rules identify processors by dense
-// index; acknowledgments travel back to the matching core node.
-func (d *dir) coreAt(ix int) noc.NodeID { return noc.CoreID(ix/d.tiles, ix%d.tiles) }
-
-func (d *dir) handle(src noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *relaxedMsg:
+// Receive implements proto.DirAdapter.
+func (d *dir) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MRelaxed:
 		d.onRelaxed(m)
-	case *releaseMsg:
+	case core.MRelease:
 		d.onRelease(m)
-	case *reqNotifyMsg:
+	case core.MReqNotify:
 		d.onReqNotify(m)
-	case *notifyMsg:
+	case core.MNotify:
 		d.onNotify(m)
-	case *wbMsg:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			d.CommitValue(m.Addr, m.Value)
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassAck, proto.AckBytes, &wbAckMsg{Tag: m.Tag})
-		})
+	case core.MWBData:
+		d.Commit(m)
 	default:
-		panic(fmt.Sprintf("cord: dir %v got unexpected message %T from %v", d.ID, payload, src))
+		panic(fmt.Sprintf("cord: dir %v got unexpected message %v", d.ID, m.Kind))
+	}
+}
+
+// Committed implements proto.DirAdapter: an atomic returns its prior value,
+// a Release retires its tables and is acknowledged, and a write-back store
+// is acknowledged.
+func (d *dir) Committed(m *core.Msg) {
+	switch m.Kind {
+	case core.MRelaxed:
+		if m.Atomic {
+			d.Ack(m, core.MAtomicResp)
+		}
+	case core.MRelease:
+		d.committedRelease(m)
+	case core.MWBData:
+		d.Ack(m, core.MWBAck)
 	}
 }
 
@@ -89,141 +82,100 @@ func (d *dir) handle(src noc.NodeID, payload any) {
 // bumps right away, and the LLC write pipelines behind it. A Release that
 // becomes eligible on this count schedules its own commit at least one
 // commit latency later, so its LLC write never overtakes this one.
-func (d *dir) onRelaxed(m *relaxedMsg) {
-	if d.st.NoteRelaxed(d.pix(m.Src), m.Ep) {
+func (d *dir) onRelaxed(m *core.Msg) {
+	if d.st.NoteRelaxed(m.Src, m.Ep) {
 		d.occCnt.Inc()
 	}
 	if rec := d.Obs; rec.Take() {
 		// The store is directory-ordered the moment its counter bumps.
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KOrdered,
-			Src: d.ID.Obs(), Dst: m.Src.Obs(), Seq: m.Ep, Addr: uint64(m.Addr)})
+			Src: d.ID.Obs(), Dst: d.Sys.CoreAt(m.Src).Obs(), Seq: m.Ep, Addr: m.Addr})
 	}
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		if m.Atomic {
-			old := d.FetchAdd(m.Addr, m.Value)
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassAtomicResp, proto.AckBytes+8,
-				&atomicRespMsg{Tag: m.Tag, Old: old})
-			return
-		}
-		d.CommitValue(m.Addr, m.Value)
-	})
+	d.Commit(m)
 	d.reeval()
 }
 
-// relCore translates an arrived Release to the core vocabulary.
-func (d *dir) relCore(m *releaseMsg) core.Msg {
-	return core.Msg{Kind: core.MRelease, Src: d.pix(m.Src), Dir: d.self,
-		Ep: m.Ep, Cnt: m.Cnt, HasPrev: m.HasPrev, PrevEp: m.PrevEp,
-		NotiCnt: m.NotiCnt, Addr: uint64(m.Addr), Val: m.Value, Size: m.Size,
-		Barrier: m.Barrier, Atomic: m.Atomic}
-}
-
 // onRelease commits an eligible Release store or recycles it (Alg. 2 21-24).
-func (d *dir) onRelease(m *releaseMsg) {
-	cm := d.relCore(m)
-	if !d.st.ReleaseEligible(cm) {
-		d.st.BufferRelease(cm)
+func (d *dir) onRelease(m *core.Msg) {
+	if !d.st.ReleaseEligible(*m) {
+		d.st.BufferRelease(*m)
 		d.occNetBuf.Inc()
-		d.noteRetry(stats.ClassReleaseData, m.Src, m.Ep)
+		d.noteRetry(stats.ClassReleaseData, m)
 		return
 	}
-	d.commitRelease(cm)
+	d.Commit(m)
 }
 
 // noteRetry records a recycle-buffer admission: the depth for the metrics
 // registry and, when sampled, a KRetry event.
-func (d *dir) noteRetry(class stats.MsgClass, src noc.NodeID, ep uint64) {
+func (d *dir) noteRetry(class stats.MsgClass, m *core.Msg) {
 	rec := d.Obs
 	rec.DirDepth(d.st.Buffered())
 	if rec.Take() {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRetry,
-			Src: d.ID.Obs(), Dst: src.Obs(), Class: class, Seq: ep})
+			Src: d.ID.Obs(), Dst: d.Sys.CoreAt(m.Src).Obs(), Class: class, Seq: m.Ep})
 	}
 }
 
-// commitRelease schedules an eligible Release's LLC commit one commit
-// latency out; the core rule applies the table effects at that point, and
-// the acknowledgment leaves for the issuing core.
-func (d *dir) commitRelease(cm core.Msg) {
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		switch {
-		case cm.Atomic:
-			d.FetchAdd(memsys.Addr(cm.Addr), cm.Val)
-		case !cm.Barrier:
-			d.CommitValue(memsys.Addr(cm.Addr), cm.Val)
-		}
-		freedCnt, freedNoti, newLargest := d.st.CommitRelease(cm)
-		if newLargest {
-			d.occLargest.Inc()
-		}
-		if freedCnt {
-			d.occCnt.Dec()
-		}
-		if freedNoti {
-			d.occNoti.Dec()
-		}
-		src := d.coreAt(cm.Src)
-		class, size := stats.ClassAck, proto.AckBytes
-		if cm.Atomic {
-			class, size = stats.ClassAtomicResp, proto.AckBytes+8
-		}
-		if rec := d.Obs; rec.Take() {
-			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-				Src: d.ID.Obs(), Dst: src.Obs(), Seq: cm.Ep, Addr: cm.Addr})
-		}
-		d.Sys.Net.Send(d.ID, src, class, size, &ackMsg{Ep: cm.Ep})
-		d.reeval()
-	})
+// committedRelease applies the core rule's table effects once a Release's
+// LLC commit completes, and acknowledges it to the issuing core.
+func (d *dir) committedRelease(m *core.Msg) {
+	freedCnt, freedNoti, newLargest := d.st.CommitRelease(*m)
+	if newLargest {
+		d.occLargest.Inc()
+	}
+	if freedCnt {
+		d.occCnt.Dec()
+	}
+	if freedNoti {
+		d.occNoti.Dec()
+	}
+	d.NoteRelCommit(m, m.Ep)
+	d.Ack(m, core.MAck)
+	d.reeval()
 }
 
 // onReqNotify forwards a notification to the destination directory once the
 // local pending stores commit (Alg. 2 lines 25-28).
-func (d *dir) onReqNotify(m *reqNotifyMsg) {
-	cm := core.Msg{Kind: core.MReqNotify, Src: d.pix(m.Src), Dir: d.self,
-		Dst: d.pix(m.Dst), Ep: m.Ep, Cnt: m.RelaxedCnt,
-		HasPrev: m.HasPrev, PrevEp: m.PrevEp}
-	if !d.st.ReqEligible(cm) {
-		d.st.BufferReq(cm)
+func (d *dir) onReqNotify(m *core.Msg) {
+	if !d.st.ReqEligible(*m) {
+		d.st.BufferReq(*m)
 		d.occNetBuf.Inc()
-		d.noteRetry(stats.ClassReqNotify, m.Src, m.Ep)
+		d.noteRetry(stats.ClassReqNotify, m)
 		return
 	}
-	d.serveNotify(cm)
-}
-
-// serveNotify consumes an eligible request-for-notification through the core
-// rule: the store-counter entry retires (§4.3) and the notification either
-// goes on the wire or — for a degenerate self-notification — is absorbed.
-func (d *dir) serveNotify(cm core.Msg) {
-	out, wire, freedCnt, selfNew := d.st.SendNotify(cm, d.self)
+	// The core rule consumes the request: the store-counter entry retires
+	// (§4.3) and the notification either goes on the wire, in the request's
+	// box, or — for a degenerate self-notification — is absorbed.
+	out, wire, freedCnt, selfNew := d.st.SendNotify(*m, d.Ix)
 	if freedCnt {
 		d.occCnt.Dec()
 	}
-	if !wire {
-		if selfNew {
-			d.occNoti.Inc()
-		}
-		d.reeval()
+	if wire {
+		*m = out
+		d.sendNotify(m)
 		return
 	}
-	d.wireNotify(out)
+	if selfNew {
+		d.occNoti.Inc()
+	}
+	d.reeval()
 }
 
-// wireNotify sends a core-emitted notification to its destination directory.
-func (d *dir) wireNotify(out core.Msg) {
-	dst := noc.DirID(out.Dir/d.tiles, out.Dir%d.tiles)
+// sendNotify sends a core-emitted notification to its destination directory.
+func (d *dir) sendNotify(m *core.Msg) {
+	dst := d.Sys.DirAt(m.Dir)
 	if rec := d.Obs; rec.Take() {
 		rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KNotify,
-			Src: d.ID.Obs(), Dst: dst.Obs(), Seq: out.Ep})
+			Src: d.ID.Obs(), Dst: dst.Obs(), Seq: m.Ep})
 	}
-	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes,
-		&notifyMsg{Src: d.coreAt(out.Src), Ep: out.Ep})
+	d.Sys.Net.Send(d.ID, dst, stats.ClassNotify, proto.NotifyBytes, m)
 }
 
 // onNotify counts a notification toward the corresponding Release
 // (Alg. 2 lines 29-30).
-func (d *dir) onNotify(m *notifyMsg) {
-	if d.st.NoteNotify(d.pix(m.Src), m.Ep) {
+func (d *dir) onNotify(m *core.Msg) {
+	if d.st.NoteNotify(m.Src, m.Ep) {
 		d.occNoti.Inc()
 	}
 	d.reeval()
@@ -236,10 +188,9 @@ func (d *dir) onNotify(m *notifyMsg) {
 // fixpoint, so the deferred updates are indistinguishable.
 func (d *dir) reeval() {
 	cntB, notiB, reqB := len(d.st.Cnt), len(d.st.Noti), len(d.st.PendingReq)
-	d.st.Reeval(d.self,
-		func(m core.Msg) { d.occNetBuf.Dec(); d.commitRelease(m) },
-		func(out core.Msg) { d.wireNotify(out) },
-		func() { d.Recycles++ })
+	d.st.Reeval(d.Ix,
+		func(m core.Msg) { d.occNetBuf.Dec(); d.Commit(&m) },
+		func(out core.Msg) { d.sendNotify(&out) })
 	for n := cntB - len(d.st.Cnt); n > 0; n-- {
 		d.occCnt.Dec()
 	}
@@ -250,9 +201,6 @@ func (d *dir) reeval() {
 		d.occNetBuf.Dec()
 	}
 }
-
-// PendingBuffered reports recycled messages, for deadlock diagnosis.
-func (d *dir) PendingBuffered() int { return d.st.Buffered() }
 
 // Protocol is the proto.Builder for CORD (and, with SeqBits set, SEQ-N).
 type Protocol struct {
@@ -287,14 +235,11 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 		v.Apply(&cp)
 	}
 	for _, id := range sys.Dirs() {
-		d := newDir(sys, id, p.Cfg)
-		sys.Net.Register(id, d.handle)
+		newDir(sys, id, p.Cfg)
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
-		c := newCPU(sys, id, &sys.Run.Procs[i], p.Cfg, cp)
-		sys.Net.Register(id, c.handle)
-		cpus[i] = c
+		cpus[i] = newCPU(sys, id, &sys.Run.Procs[i], p.Cfg, cp)
 	}
 	return cpus
 }

@@ -431,11 +431,9 @@ func (d *CordDir) SendNotify(m Msg, self int) (out Msg, wire bool, freedCnt, sel
 // release (already removed from the buffer; the driver applies or schedules
 // CommitRelease plus the memory effect and the ack). notify receives each
 // MNotify that must travel to another directory; self-notifications are
-// absorbed here and feed the fixpoint. recycle is called once per buffered
-// message re-examined without progress (the directory's recycle counter).
-// Eligibility is monotone — commits and notifications only enable more
+// absorbed here and feed the fixpoint. Eligibility is monotone — commits and notifications only enable more
 // messages — so the drain order cannot change the reachable fixpoint.
-func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle func()) {
+func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg)) {
 	for {
 		progress := false
 		keep := d.PendingRel[:0]
@@ -444,7 +442,6 @@ func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle f
 				progress = true
 				commit(m)
 			} else {
-				recycle()
 				keep = append(keep, m)
 			}
 		}
@@ -458,7 +455,6 @@ func (d *CordDir) Reeval(self int, commit func(Msg), notify func(Msg), recycle f
 					notify(out)
 				}
 			} else {
-				recycle()
 				keepQ = append(keepQ, m)
 			}
 		}

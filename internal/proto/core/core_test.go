@@ -166,7 +166,7 @@ func TestCordDirEligibilityAndReeval(t *testing.T) {
 	d.NoteRelaxed(0, 0)
 	d.NoteNotify(0, 0)
 	var committed []Msg
-	d.Reeval(0, func(m Msg) { committed = append(committed, m) }, nil, func() {})
+	d.Reeval(0, func(m Msg) { committed = append(committed, m) }, nil)
 	if len(committed) != 1 || d.Buffered() != 0 {
 		t.Fatalf("release must drain: %d committed, %d buffered", len(committed), d.Buffered())
 	}
@@ -182,17 +182,16 @@ func TestCordDirEligibilityAndReeval(t *testing.T) {
 		t.Fatal("predecessor not committed")
 	}
 	d.BufferRelease(rel2)
-	recycles := 0
-	d.Reeval(0, func(m Msg) { d.CommitRelease(m) }, nil, func() { recycles++ })
-	if recycles != 1 {
-		t.Fatalf("kept entry must recycle once, got %d", recycles)
+	d.Reeval(0, func(m Msg) { d.CommitRelease(m) }, nil)
+	if d.Buffered() != 1 {
+		t.Fatalf("ineligible release must stay buffered, %d buffered", d.Buffered())
 	}
 	committed = nil
 	if !d.ReleaseEligible(rel1) {
 		t.Fatal("rel1 has no preconditions")
 	}
 	d.CommitRelease(rel1)
-	d.Reeval(0, func(m Msg) { d.CommitRelease(m); committed = append(committed, m) }, nil, func() {})
+	d.Reeval(0, func(m Msg) { d.CommitRelease(m); committed = append(committed, m) }, nil)
 	if len(committed) != 1 || committed[0].Ep != 2 {
 		t.Fatalf("rel2 must drain after rel1 commits: %+v", committed)
 	}

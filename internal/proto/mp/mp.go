@@ -14,7 +14,7 @@
 //
 // The ordering decisions — FIFO drain, flush eligibility, sequence
 // assignment — are core.MPProc/core.MPOrderer rules shared with the litmus
-// model checker; this package owns timing, wire formats, stats, and obs.
+// model checker; this package owns timing, stats, and obs.
 package mp
 
 import (
@@ -25,7 +25,6 @@ import (
 	"cord/internal/obs"
 	"cord/internal/proto"
 	"cord/internal/proto/core"
-	"cord/internal/sim"
 	"cord/internal/stats"
 )
 
@@ -38,130 +37,13 @@ func New() *Protocol { return &Protocol{} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "MP" }
 
-// mpStore is a posted write transaction. Atomic marks a non-posted far
-// fetch-add: it is ordered in the same per-(source, host) stream but the
-// destination responds with the prior value.
-type mpStore struct {
-	Src    noc.NodeID
-	Seq    uint64 // per (src, destination-host) sequence number
-	Addr   memsys.Addr
-	Value  uint64
-	Size   int
-	Atomic bool
-	Tag    uint64
-}
-
-// atomicResp returns a far atomic's prior value.
-type atomicResp struct {
-	Tag uint64
-	Old uint64
-}
-
-// flushReq asks the destination host to report when every posted write from
-// Src up to and including Seq has committed (a flushing read).
-type flushReq struct {
-	Src noc.NodeID
-	Seq uint64
-	Tag uint64
-}
-
-// flushResp completes a flushReq.
-type flushResp struct {
-	Tag uint64
-}
-
-// orderer adapts a host's ingress ordering point (core.MPOrderer) to the
-// simulator: the core rule decides commit and flush eligibility; this type
-// schedules the commits, answers flushing reads on the wire, and records
-// observability events. One orderer is shared by all slices of a host.
+// orderer is a host's ingress ordering point (core.MPOrderer), shared by
+// all slices of the host: the core rule decides commit and flush
+// eligibility, and the slices' commit drivers time the commits and the
+// flush responses.
 type orderer struct {
-	sys   *proto.System
-	host  int
-	tiles int
-	// eng and obs are the host shard's engine and recorder (see
-	// proto.ProcBase); the orderer is host-resident state.
-	eng  *sim.Engine
-	obs  *obs.Recorder
 	st   core.MPOrderer
-	dirs map[int]*dir // by slice
-	// flights correlates a parked flushing read back to its wire request.
-	// Tags are per-CPU counters, so the key must include the source.
-	flights map[flightKey]*flushReq
-}
-
-type flightKey struct {
-	src int
-	tag uint64
-}
-
-func newOrderer(sys *proto.System, host int) *orderer {
-	nc := sys.Net.Config()
-	return &orderer{
-		sys:     sys,
-		host:    host,
-		eng:     sys.EngOf(host),
-		obs:     sys.ObsOf(host),
-		tiles:   nc.TilesPerHost,
-		st:      core.NewMPOrderer(nc.Hosts * nc.TilesPerHost),
-		dirs:    make(map[int]*dir),
-		flights: make(map[flightKey]*flushReq),
-	}
-}
-
-// pix is the dense index of a processor for the core rules.
-func (o *orderer) pix(id noc.NodeID) int { return id.Host*o.tiles + id.Tile }
-
-// submit hands an arrived posted write to the ordering point.
-func (o *orderer) submit(m *mpStore, at *dir) {
-	cm := core.Msg{Kind: core.MMPStore, Src: o.pix(m.Src), Dir: at.ID.Tile,
-		Seq: m.Seq, Addr: uint64(m.Addr), Val: m.Value, Size: m.Size,
-		Atomic: m.Atomic, Tag: m.Tag}
-	inOrder := o.st.Submit(cm,
-		func(w core.Msg) { o.dirs[w.Dir].commit(w) },
-		func(f core.Msg) { o.respondFlush(o.takeFlight(f)) })
-	if !inOrder {
-		// Out-of-order arrival: held at the ordering point until the gap fills.
-		rec := o.obs
-		rec.DirDepth(o.st.PendingFor(cm.Src))
-		if rec.Take() {
-			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KRetry,
-				Src: at.ID.Obs(), Dst: m.Src.Obs(), Class: stats.ClassRelaxedData,
-				Seq: m.Seq})
-		}
-	}
-}
-
-// takeFlight recovers the wire request for a now-ready parked flush.
-func (o *orderer) takeFlight(f core.Msg) *flushReq {
-	k := flightKey{src: f.Src, tag: f.Tag}
-	w, ok := o.flights[k]
-	if !ok {
-		panic(fmt.Sprintf("mp: served flush with unknown tag %d at host %d", f.Tag, o.host))
-	}
-	delete(o.flights, k)
-	return w
-}
-
-// respondFlush completes a flushing read after the commit pipeline drains
-// (one LLC commit latency), from the host's port slice.
-func (o *orderer) respondFlush(f *flushReq) {
-	o.eng.Schedule(o.sys.Timing.CommitLatency(), func() {
-		if rec := o.obs; rec.Take() {
-			rec.Record(obs.Event{At: o.eng.Now(), Kind: obs.KNotify,
-				Src: noc.DirID(o.host, 0).Obs(), Dst: f.Src.Obs(), Seq: f.Tag})
-		}
-		o.sys.Net.Send(noc.DirID(o.host, 0), f.Src, stats.ClassAck,
-			proto.AckBytes, &flushResp{Tag: f.Tag})
-	})
-}
-
-func (o *orderer) flush(f *flushReq) {
-	cm := core.Msg{Kind: core.MMPFlush, Src: o.pix(f.Src), Seq: f.Seq, Tag: f.Tag}
-	if o.st.Flush(cm) {
-		o.respondFlush(f)
-		return
-	}
-	o.flights[flightKey{src: cm.Src, tag: f.Tag}] = f
+	dirs []*dir // by tile
 }
 
 // dir is a directory slice under MP: pure commit target behind the orderer.
@@ -170,30 +52,64 @@ type dir struct {
 	ord *orderer
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *mpStore:
-		d.ord.submit(m, d)
-	case *flushReq:
-		d.ord.flush(m)
+// Receive implements proto.DirAdapter.
+func (d *dir) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MMPStore:
+		d.submit(m)
+	case core.MMPFlush:
+		// A flushing read, at the host's port slice (tile 0): answered
+		// after the commit pipeline drains (one commit latency) once every
+		// write it covers has committed; until then it parks in the orderer.
+		if d.ord.st.Flush(*m) {
+			d.Commit(m)
+		}
 	default:
-		panic(fmt.Sprintf("mp: dir %v got unexpected message %T", d.ID, payload))
+		panic(fmt.Sprintf("mp: dir %v got unexpected message %v", d.ID, m.Kind))
 	}
 }
 
-func (d *dir) commit(m core.Msg) {
-	d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-		if m.Atomic {
-			old := d.FetchAdd(memsys.Addr(m.Addr), m.Val)
-			src := noc.CoreID(m.Src/d.ord.tiles, m.Src%d.ord.tiles)
-			d.Sys.Net.Send(d.ID, src, stats.ClassAtomicResp, proto.AckBytes+8,
-				&atomicResp{Tag: m.Tag, Old: old})
-			return
+// submit hands an arrived posted write to the host's ordering point. Writes
+// that become committable commit at their own slices in sequence order —
+// the arrived one in its own box, parked successors re-boxed — and parked
+// flushing reads those commits cover are answered from the port slice.
+func (d *dir) submit(m *core.Msg) {
+	o := d.ord
+	inOrder := o.st.Submit(*m,
+		func(w core.Msg) {
+			p := m
+			if w.Seq != m.Seq {
+				c := w
+				p = &c
+			}
+			o.dirs[d.Sys.DirAt(w.Dir).Tile].Commit(p)
+		},
+		func(f core.Msg) { o.dirs[0].Commit(&f) })
+	if !inOrder {
+		// Out-of-order arrival: held at the ordering point until the gap fills.
+		rec := d.Obs
+		rec.DirDepth(o.st.PendingFor(m.Src))
+		if rec.Take() {
+			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRetry,
+				Src: d.ID.Obs(), Dst: d.Sys.CoreAt(m.Src).Obs(), Class: stats.ClassRelaxedData,
+				Seq: m.Seq})
 		}
-		d.CommitValue(memsys.Addr(m.Addr), m.Val)
-	})
+	}
+}
+
+// Committed implements proto.DirAdapter: a flushing read completes and an
+// atomic returns its prior value; a posted write is not acknowledged.
+func (d *dir) Committed(m *core.Msg) {
+	switch {
+	case m.Kind == core.MMPFlush:
+		if rec := d.Obs; rec.Take() {
+			rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KNotify,
+				Src: d.ID.Obs(), Dst: d.Sys.CoreAt(m.Src).Obs(), Seq: m.Tag})
+		}
+		d.Ack(m, core.MMPFlushOK)
+	case m.Atomic:
+		d.Ack(m, core.MAtomicResp)
+	}
 }
 
 // cpu is the MP processor: posts writes, never waits.
@@ -225,11 +141,10 @@ func (c *cpu) Ready(w proto.Wait) bool {
 	return c.flushing == 0
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
-		c.HandleLoadResp(m)
-	case *flushResp:
+// Receive implements proto.Adapter.
+func (c *cpu) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MMPFlushOK:
 		if c.flushing == 0 {
 			panic("mp: flush response with no flushing read outstanding")
 		}
@@ -239,12 +154,12 @@ func (c *cpu) handle(_ noc.NodeID, payload any) {
 		}
 		c.flushing--
 		c.Wake()
-	case *atomicResp:
+	case core.MAtomicResp:
 		if !c.Respond(m.Tag) {
 			panic("mp: unknown atomic tag")
 		}
 	default:
-		panic(fmt.Sprintf("mp: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("mp: cpu %v got unexpected message %v", c.ID, m.Kind))
 	}
 }
 
@@ -266,9 +181,9 @@ func (c *cpu) Exec(op proto.Op) {
 		if op.Ord == proto.Release {
 			class = stats.ClassReleaseData
 		}
-		c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &mpStore{
-			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr,
-			Value: op.Value, Size: op.Size,
+		c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+			Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
+			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size,
 		})
 		c.Retire()
 	case proto.OpAtomic:
@@ -278,9 +193,9 @@ func (c *cpu) Exec(op proto.Op) {
 		home := c.Sys.Map.HomeOf(op.Addr)
 		c.nextTag++
 		c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
-		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &mpStore{
-			Src: c.ID, Seq: c.st.NextSeq(home.Host), Addr: op.Addr, Value: op.Value,
-			Size: op.Size, Atomic: true, Tag: c.nextTag,
+		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &core.Msg{
+			Kind: core.MMPStore, Src: c.Ix, Dir: c.Sys.Index(home), Seq: c.st.NextSeq(home.Host),
+			Addr: uint64(op.Addr), Val: op.Value, Size: op.Size, Atomic: true, Tag: c.nextTag,
 		})
 	case proto.OpBarrier:
 		switch op.Ord {
@@ -300,12 +215,13 @@ func (c *cpu) Exec(op proto.Op) {
 // a barrier still records a zero-length stall.
 func (c *cpu) flushAll() {
 	c.Block(proto.Wait{On: waitFlushed, Stall: stats.StallRelease, Retire: true})
-	c.buf = c.st.FlushTargets(0, c.buf[:0])
+	c.buf = c.st.FlushTargets(c.Ix, c.buf[:0])
 	for _, f := range c.buf {
 		c.flushing++
 		c.nextTag++
-		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier,
-			proto.LoadReqBytes, &flushReq{Src: c.ID, Seq: f.Seq, Tag: c.nextTag})
+		f.Tag = c.nextTag
+		// The ordering domain f.Dir is a host; its port slice is tile 0.
+		c.Sys.Net.Send(c.ID, noc.DirID(f.Dir, 0), stats.ClassBarrier, proto.LoadReqBytes, &f)
 	}
 	c.Wake()
 }
@@ -315,19 +231,17 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	cfg := sys.Net.Config()
 	orderers := make([]*orderer, cfg.Hosts)
 	for h := range orderers {
-		orderers[h] = newOrderer(sys, h)
+		orderers[h] = &orderer{st: core.NewMPOrderer(sys.Indices())}
 	}
-	for _, id := range sys.Dirs() {
+	for _, id := range sys.Dirs() { // host-major, ascending tiles
 		d := &dir{ord: orderers[id.Host]}
-		d.InitBase(sys, id)
-		orderers[id.Host].dirs[id.Tile] = d
-		sys.Net.Register(id, d.handle)
+		d.InitBase(sys, id, d)
+		d.ord.dirs = append(d.ord.dirs, d)
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
 		c := &cpu{st: core.NewMPProc(cfg.Hosts)}
 		c.InitBase(sys, id, &sys.Run.Procs[i], c)
-		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
 	return cpus

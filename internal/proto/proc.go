@@ -3,31 +3,12 @@ package proto
 import (
 	"fmt"
 
-	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
-
-// LoadReq is an acquire/poll request from a core to a flag's home directory.
-// The directory replies once the flag value reaches Want, so a logically
-// spinning consumer costs one request/response pair on the wire (the spin
-// itself hits the consumer's local cached copy and is not simulated
-// message-by-message).
-type LoadReq struct {
-	Requestor noc.NodeID
-	Addr      memsys.Addr
-	Want      uint64
-	Tag       uint64
-}
-
-// LoadResp answers a LoadReq with the flag value.
-type LoadResp struct {
-	Addr  memsys.Addr
-	Value uint64
-	Tag   uint64
-}
 
 // IssueCycles is the minimum core occupancy per memory operation: the store
 // pipeline issues at most one operation per cycle.
@@ -36,8 +17,9 @@ const IssueCycles = 1
 // Adapter is a protocol's half of a processor core. ProcBase executes
 // Compute and Acquire ops itself and hands every store, barrier and atomic
 // to Exec, which ends the op one of two ways: Retire (the core may issue the
-// next op) or Block (the core waits on a named condition). A message handler
-// that changes state a wait may depend on calls Wake, which asks Ready.
+// next op) or Block (the core waits on a named condition). Receive handles
+// every arrived message but a poll response; when it changes state a wait
+// may depend on, it calls Wake, which asks Ready.
 type Adapter interface {
 	// Exec performs op and either retires it or blocks the core. An op
 	// blocked on a wait that does not retire it is passed to Exec again,
@@ -45,6 +27,8 @@ type Adapter interface {
 	Exec(op Op)
 	// Ready reports whether the protocol-defined wait w has cleared.
 	Ready(w Wait) bool
+	// Receive handles an arrived message other than a poll response.
+	Receive(m *core.Msg)
 }
 
 // WaitOn names what a blocked core waits for. The base owns the values
@@ -87,6 +71,7 @@ type Wait struct {
 type ProcBase struct {
 	Sys *System
 	ID  noc.NodeID
+	Ix  int // dense index (System.Index)
 	PS  *stats.ProcStats
 	// Eng and Obs are the core's host-shard engine and recorder, cached at
 	// InitBase so the hot path never routes through Sys (which in a
@@ -117,15 +102,29 @@ type ProcBase struct {
 	waitTraced bool
 }
 
-// InitBase prepares the embedded fields; a is the protocol half of the core.
+// InitBase prepares the embedded fields and registers the core's network
+// handler; a is the protocol half of the core.
 func (p *ProcBase) InitBase(sys *System, id noc.NodeID, ps *stats.ProcStats, a Adapter) {
 	p.Sys = sys
 	p.ID = id
+	p.Ix = sys.Index(id)
 	p.PS = ps
 	p.Eng = sys.EngOf(id.Host)
 	p.Obs = sys.ObsOf(id.Host)
 	p.adapter = a
 	p.step = p.Step
+	sys.Net.Register(id, p.handle)
+}
+
+// handle takes a message off the wire: a poll response resumes the acquire
+// waiting on it, and anything else goes to the adapter.
+func (p *ProcBase) handle(_ noc.NodeID, payload any) {
+	m := payload.(*core.Msg)
+	if m.Kind != core.MLoadResp {
+		p.adapter.Receive(m)
+	} else if !p.respond(waitLoad, m.Tag) {
+		panic(fmt.Sprintf("proto: %v got a poll response with unknown tag %d", p.ID, m.Tag))
+	}
 }
 
 // Start begins executing a static program (the trivial OpSource).
@@ -199,7 +198,7 @@ func (p *ProcBase) Step() {
 		p.Block(Wait{On: waitLoad, Arg: tag, Stall: stats.StallAcquire, Retire: true})
 		home := p.Sys.Map.HomeOf(op.Addr)
 		p.Sys.Net.Send(p.ID, home, stats.ClassLoadReq, LoadReqBytes,
-			&LoadReq{Requestor: p.ID, Addr: op.Addr, Want: op.Value, Tag: tag})
+			&core.Msg{Kind: core.MLoadReq, Src: p.Ix, Addr: uint64(op.Addr), Val: op.Value, Tag: tag})
 	case OpStoreWT, OpStoreWB, OpBarrier, OpAtomic:
 		if op.Kind != OpBarrier {
 			if op.Ord == Release {
@@ -268,14 +267,6 @@ func (p *ProcBase) Wake() {
 // Respond delivers the response tagged tag, resuming the core if it is
 // blocked on exactly that response (WaitResp), and reports whether it was.
 func (p *ProcBase) Respond(tag uint64) bool { return p.respond(WaitResp, tag) }
-
-// HandleLoadResp resumes the acquire waiting on the response. Protocol core
-// handlers route LoadResp messages here.
-func (p *ProcBase) HandleLoadResp(m *LoadResp) {
-	if !p.respond(waitLoad, m.Tag) {
-		panic(fmt.Sprintf("proto: %v got LoadResp with unknown tag %d", p.ID, m.Tag))
-	}
-}
 
 func (p *ProcBase) respond(on WaitOn, tag uint64) bool {
 	if p.wait.On != on || p.wait.Arg != tag {

@@ -6,6 +6,7 @@ import (
 	"cord/internal/memsys"
 	"cord/internal/noc"
 	"cord/internal/obs"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
@@ -62,6 +63,8 @@ func (c *gateCPU) Ready(w Wait) bool {
 	}
 	return c.open
 }
+
+func (c *gateCPU) Receive(*core.Msg) { panic("gateCPU: no messages") }
 
 // newGate returns an idle gateCPU on a traced system.
 func newGate(retire bool) (*System, *gateCPU) {

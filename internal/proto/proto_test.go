@@ -6,13 +6,15 @@ import (
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
+	"cord/internal/proto/core"
 	"cord/internal/sim"
 	"cord/internal/stats"
 )
 
 // nullProto is a minimal protocol used to exercise the base machinery: every
-// write-through store is sent to its home directory and committed there with
-// no ordering at all; barriers and write-back stores are treated the same.
+// write-through store is sent to its home directory as a core.Msg and
+// committed there by DirBase's commit driver with no ordering and no reply;
+// barriers and write-back stores are treated the same.
 type nullProto struct{}
 
 func (nullProto) Name() string { return "null" }
@@ -25,7 +27,7 @@ func (c *nullCPU) Exec(op Op) {
 	if op.Kind == OpStoreWT || op.Kind == OpStoreWB {
 		home := c.Sys.Map.HomeOf(op.Addr)
 		c.Sys.Net.Send(c.ID, home, stats.ClassRelaxedData, HeaderBytes+op.Size,
-			&nullStore{Addr: op.Addr, Value: op.Value})
+			&core.Msg{Kind: core.MRelaxed, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value})
 	}
 	c.Retire()
 }
@@ -34,37 +36,26 @@ func (c *nullCPU) Exec(op Op) {
 // of its own.
 func (c *nullCPU) Ready(Wait) bool { panic("nullCPU: no protocol waits") }
 
+// Receive implements Adapter; a null core gets nothing but poll responses.
+func (c *nullCPU) Receive(*core.Msg) { panic("nullCPU: unexpected message") }
+
 type nullDir struct{ DirBase }
 
-type nullStore struct {
-	Addr  memsys.Addr
-	Value uint64
-}
+// Receive implements DirAdapter: every store commits.
+func (d *nullDir) Receive(m *core.Msg) { d.Commit(m) }
+
+// Committed implements DirAdapter: stores are not acknowledged.
+func (d *nullDir) Committed(*core.Msg) {}
 
 func (nullProto) Build(sys *System, cores []noc.NodeID) []CPU {
-	dirs := make(map[noc.NodeID]*nullDir)
 	for _, id := range sys.Dirs() {
 		d := &nullDir{}
-		d.InitBase(sys, id)
-		dirs[id] = d
-		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
-			switch m := payload.(type) {
-			case *LoadReq:
-				d.HandleLoadReq(m)
-			case *nullStore:
-				d.Eng.Schedule(sys.Timing.CommitLatency(), func() { d.CommitValue(m.Addr, m.Value) })
-			default:
-				panic("nullDir: unexpected message")
-			}
-		})
+		d.InitBase(sys, id, d)
 	}
 	cpus := make([]CPU, len(cores))
 	for i, id := range cores {
 		c := &nullCPU{}
 		c.InitBase(sys, id, &sys.Run.Procs[i], c)
-		sys.Net.Register(id, func(_ noc.NodeID, payload any) {
-			c.HandleLoadResp(payload.(*LoadResp))
-		})
 		cpus[i] = c
 	}
 	return cpus
@@ -218,8 +209,8 @@ func TestMultipleWaitersSameFlag(t *testing.T) {
 
 func TestCommitValueMonotonic(t *testing.T) {
 	sys := NewSystem(1, smallConfig(), RC)
-	d := &DirBase{}
-	d.InitBase(sys, noc.DirID(0, 0))
+	d := &nullDir{}
+	d.InitBase(sys, noc.DirID(0, 0), d)
 	a := memsys.Compose(0, 0, 0)
 	d.CommitValue(a, 5)
 	d.CommitValue(a, 3) // late, older store must not regress the flag
@@ -272,5 +263,28 @@ func TestFinishTimeRecorded(t *testing.T) {
 	}
 	if run.Procs[0].Finished != sim.Time(33) {
 		t.Fatalf("Finished = %d, want 33", run.Procs[0].Finished)
+	}
+}
+
+// TestSystemIndexRoundTrip checks the one NodeID <-> dense-index mapping on a
+// multi-host config: every core and directory maps to a distinct index below
+// Indices, the inverses recover it, and ascending index order is noc.SortIDs
+// order.
+func TestSystemIndexRoundTrip(t *testing.T) {
+	sys := NewSystem(1, smallConfig(), RC) // 2 hosts x 4 tiles
+	dirs := sys.Dirs()
+	if len(dirs) != sys.Indices() {
+		t.Fatalf("%d dirs but %d indices", len(dirs), sys.Indices())
+	}
+	sorted := append([]noc.NodeID(nil), dirs...)
+	noc.SortIDs(sorted)
+	for i, d := range sorted {
+		c := noc.CoreID(d.Host, d.Tile)
+		if sys.Index(d) != i || sys.Index(c) != i {
+			t.Fatalf("Index(%v)=%d, Index(%v)=%d, want %d", d, sys.Index(d), c, sys.Index(c), i)
+		}
+		if sys.DirAt(i) != d || sys.CoreAt(i) != c {
+			t.Fatalf("index %d maps back to %v and %v, want %v and %v", i, sys.DirAt(i), sys.CoreAt(i), d, c)
+		}
 	}
 }

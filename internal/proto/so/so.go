@@ -42,37 +42,16 @@ func New() *Protocol { return &Protocol{Cfg: DefaultConfig()} }
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "SO" }
 
-// storeMsg is a write-through store on the wire. Atomic marks a far
-// fetch-add, whose acknowledgment doubles as the value response.
-type storeMsg struct {
-	Src     noc.NodeID
-	Addr    memsys.Addr
-	Value   uint64
-	Size    int
-	Release bool
-	Atomic  bool
-	Tag     uint64
-}
-
-// ackMsg acknowledges a committed store (and returns an atomic's old value).
-type ackMsg struct {
-	Tag     uint64
-	Release bool
-	Old     uint64
-}
-
 // Build implements proto.Builder.
 func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
-		d.InitBase(sys, id)
-		sys.Net.Register(id, d.handle)
+		d.InitBase(sys, id, d)
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
 		c := &cpu{cfg: p.Cfg, relSent: make(map[uint64]sim.Time)}
 		c.InitBase(sys, id, &sys.Run.Procs[i], c)
-		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
 	return cpus
@@ -80,9 +59,8 @@ func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 
 // cpu is the source-ordering processor adapter: the ordering decisions
 // (when a release, barrier, or ordered atomic may issue) are core.SOProc
-// rules shared with the litmus model checker; this type owns timing, wire
-// formats, stats, and obs events plus the TSO store-buffer
-// micro-architecture.
+// rules shared with the litmus model checker; this type owns timing, stats,
+// and obs events plus the TSO store-buffer micro-architecture.
 type cpu struct {
 	proto.ProcBase
 	cfg Config
@@ -130,15 +108,12 @@ func (c *cpu) Ready(w proto.Wait) bool {
 	panic(fmt.Sprintf("so: unknown wait %d", w.On))
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
-		c.HandleLoadResp(m)
-	case *ackMsg:
-		c.onAck(m)
-	default:
-		panic(fmt.Sprintf("so: cpu %v got unexpected message %T", c.ID, payload))
+// Receive implements proto.Adapter: a core receives only store acks.
+func (c *cpu) Receive(m *core.Msg) {
+	if m.Kind != core.MSOAck {
+		panic(fmt.Sprintf("so: cpu %v got unexpected message %v", c.ID, m.Kind))
 	}
+	c.onAck(m)
 }
 
 // Exec implements proto.Adapter.
@@ -191,8 +166,8 @@ func (c *cpu) sendAtomic(op proto.Op) {
 	c.nextTag++
 	c.st.NoteStore()
 	home := c.Sys.Map.HomeOf(op.Addr)
-	c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &storeMsg{
-		Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
+	c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size, &core.Msg{
+		Kind: core.MSOStore, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value, Size: op.Size,
 		Release: op.Ord == proto.Release, Atomic: true, Tag: c.nextTag,
 	})
 	c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
@@ -209,13 +184,13 @@ func (c *cpu) send(op proto.Op, release bool) {
 	if release {
 		c.relSent[c.nextTag] = c.Now()
 	}
-	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &storeMsg{
-		Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
+	c.Sys.Net.Send(c.ID, home, class, proto.HeaderBytes+op.Size, &core.Msg{
+		Kind: core.MSOStore, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value, Size: op.Size,
 		Release: release, Tag: c.nextTag,
 	})
 }
 
-func (c *cpu) onAck(m *ackMsg) {
+func (c *cpu) onAck(m *core.Msg) {
 	c.st.NoteAck()
 	if at, ok := c.relSent[m.Tag]; ok {
 		lat := c.Now() - at
@@ -284,32 +259,19 @@ type dir struct {
 	proto.DirBase
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *storeMsg:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			var old uint64
-			class := stats.ClassAck
-			size := proto.AckBytes
-			if m.Atomic {
-				old = d.FetchAdd(m.Addr, m.Value)
-				class = stats.ClassAtomicResp
-				size = proto.AckBytes + 8
-			} else {
-				d.CommitValue(m.Addr, m.Value)
-			}
-			if m.Release {
-				if rec := d.Obs; rec.Take() {
-					rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-						Src: d.ID.Obs(), Dst: m.Src.Obs(), Seq: m.Tag, Addr: uint64(m.Addr)})
-				}
-			}
-			d.Sys.Net.Send(d.ID, m.Src, class, size,
-				&ackMsg{Tag: m.Tag, Release: m.Release, Old: old})
-		})
-	default:
-		panic(fmt.Sprintf("so: dir %v got unexpected message %T", d.ID, payload))
+// Receive implements proto.DirAdapter: every store commits.
+func (d *dir) Receive(m *core.Msg) {
+	if m.Kind != core.MSOStore {
+		panic(fmt.Sprintf("so: dir %v got unexpected message %v", d.ID, m.Kind))
 	}
+	d.Commit(m)
+}
+
+// Committed implements proto.DirAdapter: the store is acknowledged, an
+// atomic's ack carrying the prior value.
+func (d *dir) Committed(m *core.Msg) {
+	if m.Release {
+		d.NoteRelCommit(m, m.Tag)
+	}
+	d.Ack(m, core.MSOAck)
 }

@@ -85,6 +85,8 @@ type System struct {
 	// stores indexes every directory slice's LLC store, registered by
 	// DirBase.InitBase, so tests can read back final memory (ReadMem).
 	stores map[noc.NodeID]*memsys.Store
+	// tiles is the interconnect's tiles per host (see Index).
+	tiles int
 }
 
 // NewSystem wires an engine (or, for multi-host topologies, one engine per
@@ -97,6 +99,7 @@ func NewSystem(seed int64, nc noc.Config, mode Mode) *System {
 		Mode:   mode,
 		Run:    run,
 		stores: make(map[noc.NodeID]*memsys.Store),
+		tiles:  nc.TilesPerHost,
 	}
 	if nc.Hosts <= 1 {
 		s.Eng = sim.NewEngine(seed)
@@ -210,6 +213,20 @@ func (s *System) AttachRuntime(col *rt.Collector) bool {
 	s.Net.SetFlushObserver(col)
 	return true
 }
+
+// Index is the dense index the core rules identify a core or directory by:
+// host*TilesPerHost+tile. Ascending index order coincides with noc.SortIDs
+// order, so a rule's ascending fan-out is the simulator's send order.
+func (s *System) Index(id noc.NodeID) int { return id.Host*s.tiles + id.Tile }
+
+// Indices is the number of dense indices: one per tile of every host.
+func (s *System) Indices() int { return s.Net.Config().Hosts * s.tiles }
+
+// CoreAt is Index's inverse for cores.
+func (s *System) CoreAt(ix int) noc.NodeID { return noc.CoreID(ix/s.tiles, ix%s.tiles) }
+
+// DirAt is Index's inverse for directories.
+func (s *System) DirAt(ix int) noc.NodeID { return noc.DirID(ix/s.tiles, ix%s.tiles) }
 
 // Dirs enumerates every directory node in the system.
 func (s *System) Dirs() []noc.NodeID {

@@ -22,16 +22,14 @@
 //
 // Ownership tracking, the dirty table, and the flush-before-flag release
 // discipline are core.WBProc rules shared with the litmus model checker;
-// this package owns timing, wire formats, stats, and obs.
+// this package owns timing, stats, and obs.
 package wb
 
 import (
 	"fmt"
-	"slices"
 
 	"cord/internal/memsys"
 	"cord/internal/noc"
-	"cord/internal/obs"
 	"cord/internal/proto"
 	"cord/internal/proto/core"
 	"cord/internal/stats"
@@ -56,41 +54,6 @@ func New() *Protocol { return &Protocol{Cfg: DefaultConfig()} }
 
 // Name implements proto.Builder.
 func (p *Protocol) Name() string { return "WB" }
-
-// getM requests exclusive ownership of a line.
-type getM struct {
-	Src  noc.NodeID
-	Line memsys.Addr
-}
-
-// fill grants ownership with the line data.
-type fill struct {
-	Line memsys.Addr
-}
-
-// wbData writes a dirty line back to its home directory.
-type wbData struct {
-	Src  noc.NodeID
-	Line memsys.Addr
-	Vals map[uint64]uint64
-	Tag  uint64
-}
-
-// flagStore publishes a Release flag (written through at the flush point).
-// Atomic marks a far fetch-add whose acknowledgment carries the old value.
-type flagStore struct {
-	Src    noc.NodeID
-	Addr   memsys.Addr
-	Value  uint64
-	Size   int
-	Atomic bool
-	Tag    uint64
-}
-
-// ackMsg acknowledges a write-back or flag store.
-type ackMsg struct {
-	Tag uint64
-}
 
 type cpu struct {
 	proto.ProcBase
@@ -133,19 +96,18 @@ func (c *cpu) Ready(w proto.Wait) bool {
 	panic(fmt.Sprintf("wb: unknown wait %d", w.On))
 }
 
-func (c *cpu) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadResp:
-		c.HandleLoadResp(m)
-	case *fill:
-		c.st.Fill(uint64(m.Line))
+// Receive implements proto.Adapter.
+func (c *cpu) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MWBFill:
+		c.st.Fill(m.Addr)
 		c.Wake()
-	case *ackMsg:
+	case core.MWBAck:
 		c.st.NoteAck()
 		c.Respond(m.Tag)
 		c.Wake()
 	default:
-		panic(fmt.Sprintf("wb: cpu %v got unexpected message %T", c.ID, payload))
+		panic(fmt.Sprintf("wb: cpu %v got unexpected message %v", c.ID, m.Kind))
 	}
 }
 
@@ -163,8 +125,8 @@ func (c *cpu) Exec(op proto.Op) {
 		c.Block(proto.Wait{On: proto.WaitResp, Arg: c.nextTag, Stall: stats.StallAcquire, Retire: true})
 		home := c.Sys.Map.HomeOf(op.Addr)
 		c.Sys.Net.Send(c.ID, home, stats.ClassAtomic, proto.HeaderBytes+op.Size,
-			&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size,
-				Atomic: true, Tag: c.nextTag})
+			&core.Msg{Kind: core.MWBFlag, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
+				Size: op.Size, Atomic: true, Tag: c.nextTag})
 	case proto.OpStoreWT, proto.OpStoreWB:
 		// Under the WB scheme all stores use the write-back policy.
 		if op.Ord == proto.Release {
@@ -200,7 +162,8 @@ func (c *cpu) execStore(op proto.Op) {
 		c.st.BeginFetch(uint64(line))
 		c.st.RecordDirty(uint64(line), uint64(op.Addr), op.Value)
 		home := c.Sys.Map.HomeOf(line)
-		c.Sys.Net.Send(c.ID, home, stats.ClassOwnReq, proto.HeaderBytes, &getM{Src: c.ID, Line: line})
+		c.Sys.Net.Send(c.ID, home, stats.ClassOwnReq, proto.HeaderBytes,
+			&core.Msg{Kind: core.MWBGetM, Src: c.Ix, Addr: uint64(line)})
 		if c.Sys.Mode == proto.TSO {
 			// TSO source-orders every store: the next op retires only after
 			// ownership (and hence global order) is established.
@@ -221,7 +184,8 @@ func (c *cpu) execRelease(op proto.Op) {
 	c.st.NoteFlag()
 	home := c.Sys.Map.HomeOf(op.Addr)
 	c.Sys.Net.Send(c.ID, home, stats.ClassReleaseData, proto.HeaderBytes+op.Size,
-		&flagStore{Src: c.ID, Addr: op.Addr, Value: op.Value, Size: op.Size, Tag: c.nextTag})
+		&core.Msg{Kind: core.MWBFlag, Src: c.Ix, Addr: uint64(op.Addr), Val: op.Value,
+			Size: op.Size, Tag: c.nextTag})
 	c.Retire()
 }
 
@@ -238,59 +202,44 @@ func (c *cpu) flush() bool {
 		home := c.Sys.Map.HomeOf(memsys.Addr(line))
 		c.Sys.Net.Send(c.ID, home, stats.ClassWriteback,
 			proto.HeaderBytes+memsys.LineBytes,
-			&wbData{Src: c.ID, Line: memsys.Addr(line), Vals: vals, Tag: c.nextTag})
+			&proto.LineWrite{Msg: core.Msg{Kind: core.MWBData, Src: c.Ix, Addr: line,
+				Tag: c.nextTag}, Words: vals})
 	})
 	return c.Await(proto.Wait{On: waitDrained, Stall: stats.StallAckWait})
 }
 
-// dir is the WB home directory: grants ownership, absorbs write-backs,
-// commits flags.
+// dir is the WB home directory: grants ownership, absorbs write-backs
+// (proto.LineWrite, committed by DirBase), commits flags.
 type dir struct {
 	proto.DirBase
 }
 
-func (d *dir) handle(_ noc.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *proto.LoadReq:
-		d.HandleLoadReq(m)
-	case *getM:
+// Receive implements proto.DirAdapter.
+func (d *dir) Receive(m *core.Msg) {
+	switch m.Kind {
+	case core.MWBGetM:
+		d.Lookup(m)
+	case core.MWBFlag:
+		d.Commit(m)
+	default:
+		panic(fmt.Sprintf("wb: dir %v got unexpected message %v", d.ID, m.Kind))
+	}
+}
+
+// Committed implements proto.DirAdapter.
+func (d *dir) Committed(m *core.Msg) {
+	switch m.Kind {
+	case core.MWBGetM:
 		// Ownership grant without a data fill: producer buffers have no
 		// remote sharer between flushes, so the grant is a control message.
-		d.Eng.Schedule(d.Sys.Timing.LLCCycles, func() {
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassOwnData,
-				proto.HeaderBytes, &fill{Line: m.Line})
-		})
-	case *wbData:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			addrs := make([]uint64, 0, len(m.Vals))
-			for a := range m.Vals {
-				addrs = append(addrs, a)
-			}
-			slices.Sort(addrs)
-			for _, a := range addrs {
-				d.CommitValue(memsys.Addr(a), m.Vals[a])
-			}
-			d.Sys.Net.Send(d.ID, m.Src, stats.ClassAck, proto.AckBytes, &ackMsg{Tag: m.Tag})
-		})
-	case *flagStore:
-		d.Eng.Schedule(d.Sys.Timing.CommitLatency(), func() {
-			class, size := stats.ClassAck, proto.AckBytes
-			if m.Atomic {
-				d.FetchAdd(m.Addr, m.Value)
-				class, size = stats.ClassAtomicResp, proto.AckBytes+8
-			} else {
-				d.CommitValue(m.Addr, m.Value)
-			}
-			if !m.Atomic {
-				if rec := d.Obs; rec.Take() {
-					rec.Record(obs.Event{At: d.Eng.Now(), Kind: obs.KRelCommit,
-						Src: d.ID.Obs(), Dst: m.Src.Obs(), Seq: m.Tag, Addr: uint64(m.Addr)})
-				}
-			}
-			d.Sys.Net.Send(d.ID, m.Src, class, size, &ackMsg{Tag: m.Tag})
-		})
-	default:
-		panic(fmt.Sprintf("wb: dir %v got unexpected message %T", d.ID, payload))
+		d.Reply(m, core.MWBFill, stats.ClassOwnData, proto.HeaderBytes)
+	case core.MWBFlag:
+		if !m.Atomic {
+			d.NoteRelCommit(m, m.Tag)
+		}
+		d.Ack(m, core.MWBAck)
+	case core.MWBData:
+		d.Ack(m, core.MWBAck)
 	}
 }
 
@@ -298,14 +247,12 @@ func (d *dir) handle(_ noc.NodeID, payload any) {
 func (p *Protocol) Build(sys *proto.System, cores []noc.NodeID) []proto.CPU {
 	for _, id := range sys.Dirs() {
 		d := &dir{}
-		d.InitBase(sys, id)
-		sys.Net.Register(id, d.handle)
+		d.InitBase(sys, id, d)
 	}
 	cpus := make([]proto.CPU, len(cores))
 	for i, id := range cores {
 		c := &cpu{cfg: p.Cfg, st: core.NewWBProc()}
 		c.InitBase(sys, id, &sys.Run.Procs[i], c)
-		sys.Net.Register(id, c.handle)
 		cpus[i] = c
 	}
 	return cpus
