@@ -149,21 +149,16 @@ func main() {
 
 	// Simulator-runtime telemetry: collected whenever something will consume
 	// it (-runtime-report, the live server's /runtime + cord_sim_* families,
-	// or per-window progress units). Single-host systems have no parallel
-	// runtime to observe; -compare reuses one system per protocol, so the
+	// or per-window progress units). Every run, single-host included, has
+	// windows to observe; -compare runs one system per protocol, so the
 	// per-run report is only offered for single-protocol runs.
 	if *runtimeOut != "" && *compare {
 		fmt.Fprintln(os.Stderr, "cordsim: -runtime-report is per run; drop -compare")
 		os.Exit(1)
 	}
 	var col *rt.Collector
-	if sys.Hosts > 1 && !*compare &&
-		(*runtimeOut != "" || *httpAddr != "" || *progressF) {
+	if !*compare && (*runtimeOut != "" || *httpAddr != "" || *progressF) {
 		col = rt.NewCollector(sys.Hosts)
-	}
-	if *runtimeOut != "" && col == nil {
-		fmt.Fprintln(os.Stderr, "cordsim: -runtime-report needs a multi-host run (-hosts > 1)")
-		os.Exit(1)
 	}
 
 	// Live introspection: -progress prints the shared tracker to stderr,

@@ -197,7 +197,7 @@ func cmdScaling(args []string) error {
 		return err
 	}
 	if rep.Totals.Windows == 0 {
-		return fmt.Errorf("%s: no windows recorded (single-host run?)", fs.Arg(0))
+		return fmt.Errorf("%s: no windows recorded", fs.Arg(0))
 	}
 	if *csv {
 		return rt.WriteScalingCSV(os.Stdout, rep)

@@ -90,7 +90,6 @@ type System struct {
 	// SimWorkers bounds how many host shards the conservative-parallel
 	// simulation engine advances concurrently (<= 1 means serial). Results
 	// are byte-identical for every value; it only trades wall-clock time.
-	// Single-host systems always run on one engine.
 	SimWorkers int
 }
 
@@ -142,6 +141,14 @@ func (s System) mode() proto.Mode {
 		return proto.TSO
 	}
 	return proto.RC
+}
+
+// newSystem builds the simulated machine every entry point runs on: the
+// partitioned system for nc, advanced by SimWorkers shard workers.
+func (s System) newSystem(nc noc.Config) *proto.System {
+	sys := proto.NewSystem(s.Seed, nc, s.mode())
+	sys.Workers = s.SimWorkers
+	return sys
 }
 
 // builder resolves a Protocol name.
@@ -249,8 +256,7 @@ func Simulate(w Workload, p Protocol, s System) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
+	sys := s.newSystem(nc)
 	run, err := proto.Exec(sys, b, cores, progs)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package cord
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -342,6 +344,57 @@ func TestSimulateProgramDeterministicAcrossMapOrder(t *testing.T) {
 	}
 	if a.ExecNanos() != b.ExecNanos() {
 		t.Fatal("map iteration order leaked into results")
+	}
+}
+
+// TestNewSystemCarriesSimWorkers: every entry point builds its machine
+// through System.newSystem, so SimWorkers reaches the cluster scheduler.
+func TestNewSystemCarriesSimWorkers(t *testing.T) {
+	s := fastSystem()
+	s.SimWorkers = 3
+	nc, err := s.netConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.newSystem(nc).Workers; got != 3 {
+		t.Fatalf("newSystem Workers = %d, want SimWorkers 3", got)
+	}
+}
+
+// TestSimulateProgramWorkerDeterminism runs a 4-host cross-host handoff
+// program serially and on 4 shard workers: the statistics must be identical.
+func TestSimulateProgramWorkerDeterminism(t *testing.T) {
+	progs := map[CoreRef]Program{}
+	for h := 0; h < 4; h++ {
+		next := (h + 1) % 4
+		flag := ComposeAddr(next, 3, 0)
+		var prod Program
+		for i := 0; i < 6; i++ {
+			prod = append(prod, StoreRelaxed(ComposeAddr(next, i%4, uint64(64*i)), 64))
+		}
+		prod = append(prod, ReleaseBarrier(), FetchAddOp(ComposeAddr(0, 2, 0), 1, OrdRelaxed),
+			StoreRelease(flag, 8, 1), FullBarrier())
+		progs[CoreRef{Host: h, Core: 0}] = prod
+		progs[CoreRef{Host: next, Core: 1}] = Program{AcquireLoad(flag, 1), ComputeOp(50),
+			FetchAddOp(ComposeAddr(h, 1, 0), 1, OrdRelease)}
+	}
+	run := func(workers int) []byte {
+		s := CXLSystem() // jitter on: each shard draws from its own PRNG
+		s.Hosts = 4
+		s.CoresPerHost = 4
+		s.SimWorkers = workers
+		r, err := SimulateProgram(progs, CORD, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r.Raw())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if serial, parallel := run(1), run(4); !bytes.Equal(serial, parallel) {
+		t.Fatal("SimulateProgram statistics differ between SimWorkers 1 and 4")
 	}
 }
 

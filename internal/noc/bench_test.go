@@ -3,47 +3,29 @@ package noc
 import (
 	"testing"
 
-	"cord/internal/sim"
 	"cord/internal/stats"
 )
 
-// benchNet builds a network with no-op handlers on the nodes the send
-// benchmarks use. Batching sends and draining the engine keeps the event
-// queue (and its backing array) small and steady-state, so the measurement
-// covers the full schedule+deliver round trip.
-func benchNet(cfg Config) (*sim.Engine, *Network) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	net := New(eng, cfg, &tr)
-	for h := 0; h < cfg.Hosts; h++ {
-		for t := 0; t < cfg.TilesPerHost; t++ {
-			net.Register(CoreID(h, t), func(src NodeID, payload any) {})
-			net.Register(DirID(h, t), func(src NodeID, payload any) {})
-		}
-	}
-	return eng, net
-}
-
 type benchMsg struct{ v uint64 }
 
+// runSendBench measures the full send + deliver round trip from src to dst.
+// Batching sends into rounds that drain the cluster keeps the event queues
+// (and their backing arrays) small and steady-state.
 func runSendBench(b *testing.B, cfg Config, src, dst NodeID) {
-	eng, net := benchNet(cfg)
+	net := newTestNet(cfg, 1).sinkAll()
 	payload := &benchMsg{v: 42}
 	const batch = 1024
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := b.N; n > 0; {
-		k := batch
-		if k > n {
-			k = n
-		}
+	k := 0
+	driver := func(_ uint64, _ any) {
 		for i := 0; i < k; i++ {
 			net.Send(src, dst, stats.ClassRelaxedData, 80, payload)
 		}
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		n -= k
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= k {
+		k = min(batch, n)
+		net.round(b, driver, src.Host)
 	}
 }
 
@@ -75,34 +57,22 @@ func BenchmarkSendJittered(b *testing.B) {
 // scheduling through the cached per-host engine.
 func BenchmarkSendInterHostPartitioned(b *testing.B) {
 	cfg := CXLConfig() // jitter on: one per-shard PRNG draw per inter-host hop
-	cl, net := partitionedNet(cfg, 1)
+	net := newTestNet(cfg, 1).sinkAll()
 	src, dst, far := CoreID(0, 0), DirID(0, 5), DirID(1, 5)
 	payload := any(&benchMsg{v: 42})
-	k := 0
+	k := 1024
 	driver := func(_ uint64, _ any) {
 		for i := 0; i < k; i++ {
 			net.Send(src, dst, stats.ClassRelaxedData, 80, payload)
 			net.Send(src, far, stats.ClassAck, 16, payload)
 		}
 	}
-	round := func(kk int) {
-		k = kk
-		var at sim.Time
-		for _, e := range cl.Engines() {
-			if now := e.Now(); now > at {
-				at = now
-			}
-		}
-		cl.Engine(0).ScheduleDeliverAt(at+1, driver, 0, nil)
-		if err := cl.Run(1, net); err != nil {
-			b.Fatal(err)
-		}
-	}
-	round(1024)
+	net.round(b, driver, 0)
+	k = 512 // 512 pairs = 1024 sends per round
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := b.N; n > 0; n -= 1024 {
-		round(512) // 512 pairs = 1024 sends per round
+		net.round(b, driver, 0)
 	}
 }
 
@@ -114,41 +84,29 @@ func BenchmarkSendInterHostPartitioned(b *testing.B) {
 // the merge.
 func BenchmarkSendAllToAllPartitioned(b *testing.B) {
 	cfg := CXLConfig() // 8 hosts x 8 tiles, jitter on
-	cl, net := partitionedNet(cfg, 1)
+	net := newTestNet(cfg, 1).sinkAll()
 	payload := any(&benchMsg{v: 42})
 	const fanout = 4
 	perRound := cfg.Hosts * cfg.TilesPerHost * fanout
-	drivers := make([]sim.DeliverFunc, cfg.Hosts)
-	for h := range drivers {
-		drivers[h] = func(_ uint64, _ any) {
-			for t := 0; t < cfg.TilesPerHost; t++ {
-				for i := 1; i <= fanout; i++ {
-					dst := DirID((h+i)%cfg.Hosts, (t+i)%cfg.TilesPerHost)
-					net.Send(CoreID(h, t), dst, stats.ClassRelaxedData, 80, payload)
-				}
-			}
-		}
+	hosts := make([]int, cfg.Hosts)
+	for h := range hosts {
+		hosts[h] = h
 	}
-	round := func() {
-		var at sim.Time
-		for _, e := range cl.Engines() {
-			if now := e.Now(); now > at {
-				at = now
+	driver := func(src uint64, _ any) {
+		h := int(src)
+		for t := 0; t < cfg.TilesPerHost; t++ {
+			for i := 1; i <= fanout; i++ {
+				dst := DirID((h+i)%cfg.Hosts, (t+i)%cfg.TilesPerHost)
+				net.Send(CoreID(h, t), dst, stats.ClassRelaxedData, 80, payload)
 			}
-		}
-		for h, e := range cl.Engines() {
-			e.ScheduleDeliverAt(at+1, drivers[h], 0, nil)
-		}
-		if err := cl.Run(1, net); err != nil {
-			b.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		round()
+		net.round(b, driver, hosts...)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := b.N; n > 0; n -= perRound {
-		round()
+		net.round(b, driver, hosts...)
 	}
 }

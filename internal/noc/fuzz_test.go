@@ -68,8 +68,7 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		// Every accepted geometry must build, index nodes invertibly, and
 		// route a message to exactly the addressed node.
-		var traffic stats.Traffic
-		n := New(sim.NewEngine(1), cfg, &traffic)
+		n := newTestNet(cfg, 1)
 		modH := func(v int) int { return ((v % cfg.Hosts) + cfg.Hosts) % cfg.Hosts }
 		src := CoreID(modH(na), mod(na*7))
 		dst := DirID(modH(nb), mod(nb*3))
@@ -98,10 +97,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if src != dst {
 			n.Register(src, func(NodeID, any) { t.Fatalf("message mis-routed back to %v", src) })
 		}
-		n.Send(src, dst, stats.ClassRelaxedData, 64, "probe")
-		if err := n.eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		n.round(t, func(uint64, any) { n.Send(src, dst, stats.ClassRelaxedData, 64, "probe") }, src.Host)
 		if delivered != 1 {
 			t.Fatalf("message delivered %d times", delivered)
 		}

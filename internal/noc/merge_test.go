@@ -40,26 +40,19 @@ func (f *flushLog) RecordFlush(injected, retained, _ int) {
 	f.retained = append(f.retained, retained)
 }
 
-// mergeNet builds a partitioned network whose directory handlers append each
-// arrival to its destination host's list in got.
-func mergeNet(cfg Config, seed int64) (cl *sim.Cluster, n *Network, got [][]arrival) {
-	cl = sim.NewCluster(seed, cfg.Hosts, cfg.Lookahead())
-	traffics := make([]*stats.Traffic, cfg.Hosts)
-	for i := range traffics {
-		traffics[i] = &stats.Traffic{}
-	}
-	n = NewPartitioned(cl.Engines(), cfg, traffics)
-	got = make([][]arrival, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		eng := cl.Engine(h)
-		for t := 0; t < cfg.TilesPerHost; t++ {
-			n.Register(CoreID(h, t), func(NodeID, any) {})
+// logArrivals registers directory handlers on n that append each arrival to
+// its destination host's list in the returned log, and no-op core handlers.
+func logArrivals(n *testNet) [][]arrival {
+	got := make([][]arrival, n.cfg.Hosts)
+	for h := range got {
+		for t := 0; t < n.cfg.TilesPerHost; t++ {
 			n.Register(DirID(h, t), func(_ NodeID, p any) {
-				got[h] = append(got[h], arrival{at: eng.Now(), tag: p.(mergeTag)})
+				got[h] = append(got[h], arrival{at: n.now(h), tag: p.(mergeTag)})
 			})
 		}
 	}
-	return cl, n, got
+	n.sinkAll()
+	return got
 }
 
 // TestFlushMergeOrderProperty drives random all-to-all cross-host traffic on
@@ -74,7 +67,9 @@ func TestFlushMergeOrderProperty(t *testing.T) {
 	w := cfg.Lookahead()
 	const rounds = 60
 	for _, seed := range []int64{1, 2, 3, 4} {
-		cl, n, got := mergeNet(cfg, seed)
+		n := newTestNet(cfg, seed)
+		got := logArrivals(n)
+		cl := n.cl
 		var fl flushLog
 		n.SetFlushObserver(&fl)
 		sent := make([]int, cfg.Hosts)
@@ -101,9 +96,7 @@ func TestFlushMergeOrderProperty(t *testing.T) {
 			}
 			eng.ScheduleAt(64, tick)
 		}
-		if err := cl.Run(1, n); err != nil {
-			t.Fatal(err)
-		}
+		n.run(t)
 
 		total, ties := 0, 0
 		var maxTransit sim.Time
@@ -157,7 +150,9 @@ func TestFlushRetainedMessageKeepsSourceOrder(t *testing.T) {
 	cfg.JitterCycles = 0
 	cfg.LinkBytesPerCycle = 1
 	w := cfg.Lookahead()
-	cl, n, got := mergeNet(cfg, 1)
+	n := newTestNet(cfg, 1)
+	got := logArrivals(n)
+	cl := n.cl
 	var fl flushLog
 	n.SetFlushObserver(&fl)
 	dst := DirID(0, cfg.PortTile) // zero mesh hops on both ends
@@ -175,9 +170,7 @@ func TestFlushRetainedMessageKeepsSourceOrder(t *testing.T) {
 	cl.Engine(1).ScheduleAt(s1, func() {
 		n.Send(src1, dst, stats.ClassRelaxedData, int(at-s1-w), mergeTag{src: 1})
 	})
-	if err := cl.Run(1, n); err != nil {
-		t.Fatal(err)
-	}
+	n.run(t)
 
 	if len(got[0]) != 2 {
 		t.Fatalf("host 0 got %d deliveries, want 2", len(got[0]))

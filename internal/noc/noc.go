@@ -8,14 +8,13 @@
 // ports), optional delivery jitter (to exercise out-of-order arrival handling
 // in protocols), and per-class traffic accounting.
 //
-// A Network runs in one of two modes. The single-engine mode (New) schedules
-// every delivery directly on one sim.Engine. The partitioned mode
-// (NewPartitioned) serves the host-sharded cluster scheduler: intra-host
-// deliveries schedule directly on the source host's engine, while cross-host
-// sends are buffered in a source-shard-owned outbox and injected into the
-// destination shard at the next window barrier (Flush), walking the outboxes
-// in host order so same-cycle arrivals at one engine are ordered by (source
-// host, send order) — the sim.Exchanger contract.
+// A Network serves the host-sharded cluster scheduler (sim.Cluster), one
+// engine per host: intra-host deliveries schedule directly on the source
+// host's engine, while cross-host sends are buffered in a source-shard-owned
+// outbox and injected into the destination shard at the next window barrier
+// (Flush), walking the outboxes in host order so same-cycle arrivals at one
+// engine are ordered by (source host, send order) — the sim.Exchanger
+// contract. A single-host network is the one-shard case of the same code.
 package noc
 
 import (
@@ -102,8 +101,8 @@ type Config struct {
 	// latency in nanoseconds: 150 for CXL, 50 for UPI (Table 1).
 	InterHostNs float64
 	// LinkBytesPerCycle is the bandwidth of each directional inter-host port
-	// (Table 1: 64 GB/s = 32 B/ns = 16 B per 0.5ns cycle... expressed here in
-	// bytes per cycle at the 2 GHz core clock: 64 GB/s -> 32 B/cycle).
+	// in bytes per cycle at the 2 GHz core clock (Table 1: 64 GB/s =
+	// 64 B/ns = 32 B per 0.5 ns cycle).
 	LinkBytesPerCycle float64
 	// JitterCycles adds a uniformly random [0, JitterCycles] delivery skew to
 	// model adaptive routing / multipath reordering. 0 disables jitter.
@@ -131,7 +130,6 @@ func UPIConfig() Config {
 	return c
 }
 
-// Validate reports configuration errors.
 // Validation bounds on the timing parameters. They are physically absurd
 // (half a millisecond per mesh hop, one second across the interconnect) and
 // exist to keep latency arithmetic far from uint64 overflow: FuzzConfigValidate
@@ -143,6 +141,7 @@ const (
 	maxInterHostNs = 1e9
 )
 
+// Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.Hosts < 1:
@@ -217,9 +216,9 @@ func unpackID(w uint64) NodeID {
 	return NodeID{Host: int(w >> 33), Tile: int(w >> 1 & 0xFFFFFFFF), Kind: NodeKind(w & 1)}
 }
 
-// xmsg is one buffered cross-shard message in partitioned mode. Its source
-// host is the outbox it sits in and its send order is its position there;
-// Flush derives the injection order from both (see Flush).
+// xmsg is one buffered cross-shard message. Its source host is the outbox it
+// sits in and its send order is its position there; Flush derives the
+// injection order from both (see Flush).
 type xmsg struct {
 	at      sim.Time
 	src     uint64   // packed source NodeID
@@ -236,18 +235,11 @@ type xmsg struct {
 // accounts traffic, and schedules the destination handler.
 type Network struct {
 	cfg Config
-	// Single-engine mode (New): one engine, one traffic accumulator, one
-	// optional recorder.
-	eng     *sim.Engine
-	traffic *stats.Traffic
-	// obs is the optional observability recorder; nil disables tracing.
-	obs *obs.Recorder
-
-	// Partitioned mode (NewPartitioned): per-host engines, traffic
-	// accumulators, recorders, and cross-shard outboxes. engines != nil
-	// selects this mode. Everything indexed by host is touched only from
-	// that host's shard during a window, so the hot paths need no locks;
-	// Flush runs single-threaded at the window barrier.
+	// Per-host engines, traffic accumulators, optional recorders (nil
+	// disables tracing), and cross-shard outboxes. Everything indexed by
+	// host is touched only from that host's shard during a window, so the
+	// hot paths need no locks; Flush runs single-threaded at the window
+	// barrier.
 	engines  []*sim.Engine
 	traffics []*stats.Traffic
 	recs     []*obs.Recorder
@@ -282,12 +274,25 @@ type FlushObserver interface {
 	RecordFlush(injected, retained, mergedBytes int)
 }
 
-func newNetwork(cfg Config) *Network {
+// NewPartitioned creates a network over the host-sharded cluster scheduler:
+// engines[h] and traffics[h] belong to host h's shard. The returned network
+// implements sim.Exchanger; pass it to sim.Cluster.Run so buffered
+// cross-host messages are injected at each window barrier. It panics on
+// invalid configuration, which is a programming error in experiment setup,
+// not a runtime condition.
+func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	if len(engines) != cfg.Hosts || len(traffics) != cfg.Hosts {
+		panic(fmt.Sprintf("noc: %d engines / %d traffics for %d hosts",
+			len(engines), len(traffics), cfg.Hosts))
+	}
 	n := &Network{
 		cfg:      cfg,
+		engines:  engines,
+		traffics: traffics,
+		outbox:   make([][]xmsg, cfg.Hosts),
 		egress:   make([]link, cfg.Hosts),
 		handlers: make([]Handler, cfg.Hosts*cfg.TilesPerHost*2),
 		deliver:  make([]sim.DeliverFunc, cfg.Hosts*cfg.TilesPerHost*2),
@@ -295,31 +300,6 @@ func newNetwork(cfg Config) *Network {
 	if bpc := cfg.LinkBytesPerCycle; bpc >= 1 && bpc == math.Trunc(bpc) {
 		n.linkWhole = uint64(bpc)
 	}
-	return n
-}
-
-// New creates a single-engine network. It panics on invalid configuration,
-// which is a programming error in experiment setup, not a runtime condition.
-func New(eng *sim.Engine, cfg Config, traffic *stats.Traffic) *Network {
-	n := newNetwork(cfg)
-	n.eng = eng
-	n.traffic = traffic
-	return n
-}
-
-// NewPartitioned creates a network over the host-sharded cluster scheduler:
-// engines[h] and traffics[h] belong to host h's shard. The returned network
-// implements sim.Exchanger; pass it to sim.Cluster.Run so buffered
-// cross-host messages are injected at each window barrier.
-func NewPartitioned(engines []*sim.Engine, cfg Config, traffics []*stats.Traffic) *Network {
-	n := newNetwork(cfg)
-	if len(engines) != cfg.Hosts || len(traffics) != cfg.Hosts {
-		panic(fmt.Sprintf("noc: %d engines / %d traffics for %d hosts",
-			len(engines), len(traffics), cfg.Hosts))
-	}
-	n.engines = engines
-	n.traffics = traffics
-	n.outbox = make([][]xmsg, cfg.Hosts)
 	return n
 }
 
@@ -336,13 +316,10 @@ func (n *Network) nodeIndex(id NodeID) int {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// SetObserver installs the observability recorder (nil disables). Metrics are
-// updated for every message; hop events obey the recorder's sampling.
-func (n *Network) SetObserver(rec *obs.Recorder) { n.obs = rec }
-
-// SetObservers installs per-shard recorders for partitioned mode (nil
-// disables): messages record into their source host's recorder, deliveries
-// into the destination host's.
+// SetObservers installs per-shard recorders (nil disables): messages record
+// into their source host's recorder, deliveries into the destination host's.
+// Metrics are updated for every message; hop events obey the recorders'
+// sampling.
 func (n *Network) SetObservers(recs []*obs.Recorder) {
 	if recs != nil && len(recs) != n.cfg.Hosts {
 		panic(fmt.Sprintf("noc: %d recorders for %d hosts", len(recs), n.cfg.Hosts))
@@ -351,10 +328,9 @@ func (n *Network) SetObservers(recs []*obs.Recorder) {
 }
 
 // SetFlushObserver installs the runtime flush-census hook (nil detaches).
-// Only meaningful in partitioned mode, where Flush runs; harmless otherwise.
 func (n *Network) SetFlushObserver(o FlushObserver) { n.fobs = o }
 
-// recOf returns host h's recorder in partitioned mode (nil when untraced).
+// recOf returns host h's recorder (nil when untraced).
 func (n *Network) recOf(h int) *obs.Recorder {
 	if n.recs == nil {
 		return nil
@@ -429,14 +405,18 @@ func (n *Network) serialization(bytes int) sim.Time {
 // invokes dst's handler with payload on arrival. Inter-host messages consume
 // bandwidth on the source host's egress port (serializing one after another).
 //
+// Send must execute on the source host's shard — true for every protocol
+// engine, whose components only send from their own node. Intra-host
+// messages schedule directly on that shard's engine and recorder. Cross-host
+// messages are appended to the source shard's outbox with their computed
+// arrival time and injected at the next window barrier (Flush). Delivery
+// jitter draws from the source shard's engine PRNG, so each host's jitter
+// stream depends only on that shard's (deterministic) send order — never on
+// how shards interleave across workers.
+//
 // The untraced path (no observability recorder, or this message not sampled)
 // performs no allocation: delivery is a monomorphic event carrying the
 // node's pre-built sim.DeliverFunc, the packed source, and the payload.
-//
-// In partitioned mode, Send must execute on the source host's shard — true
-// for every protocol engine, whose components only send from their own node —
-// and cross-host deliveries are buffered until the next window barrier
-// (Flush) instead of being scheduled immediately.
 func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload any) {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("noc: message size %d must be positive", bytes))
@@ -445,73 +425,6 @@ func (n *Network) Send(src, dst NodeID, class stats.MsgClass, bytes int, payload
 	if idx < 0 || n.handlers[idx] == nil {
 		panic(fmt.Sprintf("noc: no handler registered for %v", dst))
 	}
-	if n.engines != nil {
-		n.sendSharded(src, dst, idx, class, bytes, payload)
-		return
-	}
-	interHost := src.Host != dst.Host
-	n.traffic.Add(class, bytes, interHost)
-	n.obs.CountMsg(class, bytes, interHost)
-
-	delay, queueing := n.delay(n.eng, src, dst, bytes, interHost)
-	if n.cfg.JitterCycles > 0 {
-		delay += sim.Time(n.eng.Rand().Intn(n.cfg.JitterCycles + 1))
-	}
-	n.obs.ObserveLatency(class, delay)
-	if n.obs.Take() {
-		// Trace the whole hop under one sampling decision: the Send now, the
-		// Link entry when the message queued for an inter-host port, and the
-		// Deliver from the arrival continuation. This sampled path is the one
-		// place a Send still allocates (the arrival closure below).
-		now := n.eng.Now()
-		osrc, odst := src.Obs(), dst.Obs()
-		n.obs.Record(obs.Event{At: now, Kind: obs.KSend, Src: osrc, Dst: odst,
-			Class: class, Bytes: bytes, Dur: delay, Wait: queueing})
-		if interHost && queueing > 0 {
-			n.obs.Record(obs.Event{At: now + queueing, Kind: obs.KLink,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Wait: queueing})
-		}
-		rec, h := n.obs, n.handlers[idx]
-		n.eng.Schedule(delay, func() {
-			rec.Record(obs.Event{At: n.eng.Now(), Kind: obs.KDeliver,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: delay})
-			h(src, payload)
-		})
-		return
-	}
-	n.eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
-}
-
-// delay computes a message's latency excluding jitter — mesh hops plus, for
-// inter-host messages, the link traversal, serialization, and egress-port
-// queueing — charging the egress port. The egress state is owned by the
-// sending host (= the executing shard in partitioned mode), so this is safe
-// under parallel windows.
-func (n *Network) delay(eng *sim.Engine, src, dst NodeID, bytes int, interHost bool) (delay, queueing sim.Time) {
-	delay = n.Latency(src, dst)
-	if !interHost {
-		return delay, 0
-	}
-	ser := n.serialization(bytes)
-	now := eng.Now()
-	eg := &n.egress[src.Host]
-	start := now
-	if eg.nextFree > start {
-		start = eg.nextFree
-	}
-	eg.nextFree = start + ser
-	queueing = start - now
-	return delay + queueing + ser, queueing
-}
-
-// sendSharded is the partitioned-mode Send path. Intra-host messages behave
-// exactly as in single-engine mode, on the source host's engine and recorder.
-// Cross-host messages are appended to the source shard's outbox with their
-// computed arrival time and injected at the next window barrier. Delivery
-// jitter draws from the source shard's engine PRNG, so each host's jitter
-// stream depends only on that shard's (deterministic) send order — never on
-// how shards interleave across workers.
-func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, bytes int, payload any) {
 	sh := src.Host
 	eng := n.engines[sh]
 	interHost := sh != dst.Host
@@ -526,6 +439,9 @@ func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, by
 	rec.ObserveLatency(class, delay)
 	traced := rec.Take()
 	if traced {
+		// Trace the whole hop under one sampling decision: the Send now, the
+		// Link entry when the message queued for an inter-host port, and the
+		// Deliver from the arrival event (tracedDelivery).
 		now := eng.Now()
 		osrc, odst := src.Obs(), dst.Obs()
 		rec.Record(obs.Event{At: now, Kind: obs.KSend, Src: osrc, Dst: odst,
@@ -543,16 +459,47 @@ func (n *Network) sendSharded(src, dst NodeID, idx int, class stats.MsgClass, by
 		return
 	}
 	if traced {
-		h := n.handlers[idx]
-		osrc, odst := src.Obs(), dst.Obs()
-		eng.Schedule(delay, func() {
-			rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
-				Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: delay})
-			h(src, payload)
-		})
+		eng.Schedule(delay, n.tracedDelivery(src, int32(idx), class, bytes, delay, payload))
 		return
 	}
 	eng.ScheduleDeliver(delay, n.deliver[idx], packID(src), payload)
+}
+
+// delay computes a message's latency excluding jitter — mesh hops plus, for
+// inter-host messages, the link traversal, serialization, and egress-port
+// queueing — charging the egress port. The egress state is owned by the
+// sending host (= the executing shard), so this is safe under parallel
+// windows.
+func (n *Network) delay(eng *sim.Engine, src, dst NodeID, bytes int, interHost bool) (delay, queueing sim.Time) {
+	delay = n.Latency(src, dst)
+	if !interHost {
+		return delay, 0
+	}
+	ser := n.serialization(bytes)
+	now := eng.Now()
+	eg := &n.egress[src.Host]
+	start := now
+	if eg.nextFree > start {
+		start = eg.nextFree
+	}
+	eg.nextFree = start + ser
+	queueing = start - now
+	return delay + queueing + ser, queueing
+}
+
+// tracedDelivery builds a sampled message's arrival event: it records the
+// KDeliver into the destination host's recorder (the source host's recorder
+// already holds the matching KSend) and then calls the handler. This closure
+// is the one place a Send still allocates.
+func (n *Network) tracedDelivery(src NodeID, dstIdx int32, class stats.MsgClass, bytes int, dur sim.Time, payload any) func() {
+	dst := n.nodeAt(dstIdx)
+	eng, rec, h := n.engines[dst.Host], n.recOf(dst.Host), n.handlers[dstIdx]
+	osrc, odst := src.Obs(), dst.Obs()
+	return func() {
+		rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
+			Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: dur})
+		h(src, payload)
+	}
 }
 
 // Flush implements sim.Exchanger: it injects every buffered cross-host
@@ -597,26 +544,15 @@ func (n *Network) Flush(horizon sim.Time) (remaining int, earliest sim.Time) {
 }
 
 // inject schedules one flushed cross-host arrival on its destination shard.
-// Untraced deliveries stay monomorphic and allocation-free; traced ones
-// record the KDeliver into the destination host's recorder (the source
-// host's recorder already holds the matching KSend).
+// Untraced deliveries stay monomorphic and allocation-free.
 func (n *Network) inject(m *xmsg) {
-	dst := n.nodeAt(m.dstIdx)
-	eng := n.engines[dst.Host]
+	eng := n.engines[n.nodeAt(m.dstIdx).Host]
 	if !m.traced {
 		eng.ScheduleDeliverAt(m.at, n.deliver[m.dstIdx], m.src, m.payload)
 		return
 	}
-	rec := n.recOf(dst.Host)
-	h := n.handlers[m.dstIdx]
-	src := unpackID(m.src)
-	osrc, odst := src.Obs(), dst.Obs()
-	class, bytes, dur, payload := stats.MsgClass(m.class), int(m.bytes), m.dur, m.payload
-	eng.ScheduleAt(m.at, func() {
-		rec.Record(obs.Event{At: eng.Now(), Kind: obs.KDeliver,
-			Src: osrc, Dst: odst, Class: class, Bytes: bytes, Dur: dur})
-		h(src, payload)
-	})
+	eng.ScheduleAt(m.at, n.tracedDelivery(unpackID(m.src), m.dstIdx,
+		stats.MsgClass(m.class), int(m.bytes), m.dur, m.payload))
 }
 
 // LocalDir returns the directory slice co-located with a core: the same tile.

@@ -14,6 +14,62 @@ func testConfig() Config {
 	return c
 }
 
+// testNet is a network over a fresh cluster (one engine per host) with a
+// traffic accumulator per host and no handlers registered.
+type testNet struct {
+	*Network
+	cl       *sim.Cluster
+	traffics []*stats.Traffic
+}
+
+func newTestNet(cfg Config, seed int64) *testNet {
+	cl := sim.NewCluster(seed, cfg.Hosts, cfg.Lookahead())
+	traffics := make([]*stats.Traffic, cfg.Hosts)
+	for i := range traffics {
+		traffics[i] = &stats.Traffic{}
+	}
+	return &testNet{Network: NewPartitioned(cl.Engines(), cfg, traffics), cl: cl, traffics: traffics}
+}
+
+// sinkAll registers a no-op handler on every node that has none yet.
+func (tn *testNet) sinkAll() *testNet {
+	for i, h := range tn.handlers {
+		if h == nil {
+			tn.Register(tn.nodeAt(int32(i)), func(NodeID, any) {})
+		}
+	}
+	return tn
+}
+
+// now is host h's engine clock.
+func (tn *testNet) now(h int) sim.Time { return tn.cl.Engine(h).Now() }
+
+// run advances the cluster until every engine and outbox has drained.
+func (tn *testNet) run(tb testing.TB) {
+	tb.Helper()
+	if err := tn.cl.Run(1, tn.Network); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// round schedules drive on each listed host's engine — its source word is
+// the host — and runs the cluster. Sends must come from a driver event: the
+// cluster only learns of buffered cross-host messages at its barriers.
+// Shard clocks desynchronize once a run drains, so the round starts at the
+// latest shard clock (cycle 0 on a fresh network) to keep each cross-host
+// arrival in its destination shard's future.
+func (tn *testNet) round(tb testing.TB, drive sim.DeliverFunc, hosts ...int) {
+	tb.Helper()
+	var at sim.Time
+	for _, e := range tn.cl.Engines() {
+		at = max(at, e.Now())
+	}
+	for _, h := range hosts {
+		tn.cl.Engine(h).ScheduleDeliverAt(at, drive, uint64(h), nil)
+	}
+	tn.run(tb)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := CXLConfig().Validate(); err != nil {
 		t.Fatalf("CXL config invalid: %v", err)
@@ -70,9 +126,7 @@ func TestMeshHopsSymmetric(t *testing.T) {
 }
 
 func TestIntraHostLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	// tile 0 -> tile 3: 3 hops x 10 cycles.
 	if got := n.Latency(CoreID(0, 0), DirID(0, 3)); got != 30 {
 		t.Fatalf("intra latency = %d, want 30", got)
@@ -84,9 +138,7 @@ func TestIntraHostLatency(t *testing.T) {
 }
 
 func TestInterHostLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	// core h0.t0 -> dir h1.t0, PortTile=0: 0 mesh hops + 150ns = 300 cycles.
 	if got := n.Latency(CoreID(0, 0), DirID(1, 0)); got != 300 {
 		t.Fatalf("inter latency = %d, want 300", got)
@@ -98,21 +150,18 @@ func TestInterHostLatency(t *testing.T) {
 }
 
 func TestSendDeliversWithLatencyAndSerialization(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	var arrived sim.Time
 	var gotSrc NodeID
 	var gotPayload any
 	n.Register(DirID(1, 0), func(src NodeID, p any) {
-		arrived = eng.Now()
+		arrived = n.now(1)
 		gotSrc = src
 		gotPayload = p
 	})
-	n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 80, "hello")
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.round(t, func(uint64, any) {
+		n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 80, "hello")
+	}, 0)
 	// 300 cycles latency + ceil(80/32)=3 cycles serialization.
 	if arrived != 303 {
 		t.Fatalf("arrived at %d, want 303", arrived)
@@ -120,42 +169,34 @@ func TestSendDeliversWithLatencyAndSerialization(t *testing.T) {
 	if gotSrc != CoreID(0, 0) || gotPayload != "hello" {
 		t.Fatalf("delivery src=%v payload=%v", gotSrc, gotPayload)
 	}
-	if tr.TotalInter() != 80 {
-		t.Fatalf("inter traffic = %d, want 80", tr.TotalInter())
+	if got := n.traffics[0].TotalInter(); got != 80 {
+		t.Fatalf("inter traffic = %d, want 80", got)
 	}
 }
 
 func TestSendIntraHostNoSerialization(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	var arrived sim.Time
-	n.Register(DirID(0, 1), func(NodeID, any) { arrived = eng.Now() })
-	n.Send(CoreID(0, 0), DirID(0, 1), stats.ClassAck, 16, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.Register(DirID(0, 1), func(NodeID, any) { arrived = n.now(0) })
+	n.round(t, func(uint64, any) { n.Send(CoreID(0, 0), DirID(0, 1), stats.ClassAck, 16, nil) }, 0)
 	if arrived != 10 {
 		t.Fatalf("arrived at %d, want 10 (1 hop)", arrived)
 	}
-	if tr.TotalIntra() != 16 || tr.TotalInter() != 0 {
+	if tr := n.traffics[0]; tr.TotalIntra() != 16 || tr.TotalInter() != 0 {
 		t.Fatalf("traffic inter=%d intra=%d", tr.TotalInter(), tr.TotalIntra())
 	}
 }
 
 func TestEgressQueueing(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	var arrivals []sim.Time
-	n.Register(DirID(1, 0), func(NodeID, any) { arrivals = append(arrivals, eng.Now()) })
+	n.Register(DirID(1, 0), func(NodeID, any) { arrivals = append(arrivals, n.now(1)) })
 	// Two back-to-back 320-byte messages: each serializes in 10 cycles, so
 	// the second is delayed by the first's serialization.
-	n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 320, nil)
-	n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 320, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.round(t, func(uint64, any) {
+		n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 320, nil)
+		n.Send(CoreID(0, 0), DirID(1, 0), stats.ClassRelaxedData, 320, nil)
+	}, 0)
 	if len(arrivals) != 2 {
 		t.Fatalf("got %d arrivals", len(arrivals))
 	}
@@ -168,9 +209,7 @@ func TestEgressQueueing(t *testing.T) {
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	n.Register(CoreID(0, 0), func(NodeID, any) {})
 	defer func() {
 		if recover() == nil {
@@ -181,9 +220,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 }
 
 func TestSendToUnregisteredPanics(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("Send to unregistered node did not panic")
@@ -194,19 +231,16 @@ func TestSendToUnregisteredPanics(t *testing.T) {
 
 func TestJitterBoundedAndDeterministic(t *testing.T) {
 	run := func(seed int64) []sim.Time {
-		eng := sim.NewEngine(seed)
-		var tr stats.Traffic
 		cfg := testConfig()
 		cfg.JitterCycles = 8
-		n := New(eng, cfg, &tr)
+		n := newTestNet(cfg, seed)
 		var arrivals []sim.Time
-		n.Register(DirID(0, 1), func(NodeID, any) { arrivals = append(arrivals, eng.Now()) })
-		for i := 0; i < 50; i++ {
-			n.Send(CoreID(0, 0), DirID(0, 1), stats.ClassAck, 16, nil)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		n.Register(DirID(0, 1), func(NodeID, any) { arrivals = append(arrivals, n.now(0)) })
+		n.round(t, func(uint64, any) {
+			for i := 0; i < 50; i++ {
+				n.Send(CoreID(0, 0), DirID(0, 1), stats.ClassAck, 16, nil)
+			}
+		}, 0)
 		return arrivals
 	}
 	a := run(3)
@@ -231,12 +265,10 @@ func TestLocalDir(t *testing.T) {
 }
 
 func TestUPIFasterThanCXL(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	cxl := New(eng, testConfig(), &tr)
+	cxl := newTestNet(testConfig(), 1)
 	upiCfg := UPIConfig()
 	upiCfg.JitterCycles = 0
-	upi := New(eng, upiCfg, &tr)
+	upi := newTestNet(upiCfg, 1)
 	c := cxl.Latency(CoreID(0, 0), DirID(1, 0))
 	u := upi.Latency(CoreID(0, 0), DirID(1, 0))
 	if u >= c {
@@ -245,11 +277,9 @@ func TestUPIFasterThanCXL(t *testing.T) {
 }
 
 func TestRingTopologyLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
 	cfg := testConfig()
 	cfg.Topology = Ring
-	n := New(eng, cfg, &tr)
+	n := newTestNet(cfg, 1)
 	// Adjacent hosts: 1 link.
 	if got := n.Latency(CoreID(0, 0), DirID(1, 0)); got != 300 {
 		t.Fatalf("ring adjacent = %d, want 300", got)
@@ -268,12 +298,10 @@ func TestRingTopologyLatency(t *testing.T) {
 }
 
 func TestRingSlowerOnAverageThanSwitch(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	sw := New(eng, testConfig(), &tr)
+	sw := newTestNet(testConfig(), 1)
 	rcfg := testConfig()
 	rcfg.Topology = Ring
-	rg := New(eng, rcfg, &tr)
+	rg := newTestNet(rcfg, 1)
 	var swSum, rgSum sim.Time
 	for d := 1; d < 8; d++ {
 		swSum += sw.Latency(CoreID(0, 0), DirID(d, 0))
@@ -285,9 +313,7 @@ func TestRingSlowerOnAverageThanSwitch(t *testing.T) {
 }
 
 func TestSendRejectsNonPositiveSize(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
-	n := New(eng, testConfig(), &tr)
+	n := newTestNet(testConfig(), 1)
 	n.Register(DirID(0, 1), func(NodeID, any) {})
 	defer func() {
 		if recover() == nil {
@@ -310,13 +336,11 @@ func TestSingleRowMesh(t *testing.T) {
 }
 
 func TestPortTilePlacementMatters(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var tr stats.Traffic
 	near := testConfig() // port at tile 0
 	far := testConfig()
 	far.PortTile = 7
-	a := New(eng, near, &tr).Latency(CoreID(0, 0), DirID(1, 0))
-	b := New(eng, far, &tr).Latency(CoreID(0, 0), DirID(1, 0))
+	a := newTestNet(near, 1).Latency(CoreID(0, 0), DirID(1, 0))
+	b := newTestNet(far, 1).Latency(CoreID(0, 0), DirID(1, 0))
 	// With the port at the opposite corner, both sides add mesh hops.
 	if b <= a {
 		t.Fatalf("far port latency %d should exceed near port %d", b, a)

@@ -139,7 +139,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRuntime(w http.ResponseWriter, _ *http.Request) {
 	col := s.rt.Load()
 	if col == nil {
-		http.Error(w, "no runtime collector attached (single-host run?)", http.StatusNotFound)
+		http.Error(w, "no runtime collector attached (-compare run?)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

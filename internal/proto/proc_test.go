@@ -24,12 +24,12 @@ func TestStepComputeZeroAlloc(t *testing.T) {
 	}
 	cpus[0].Start(prog)
 	now := sim.Time(100)
-	if err := sys.Eng.RunUntil(now); err != nil {
+	if err := sys.EngOf(0).RunUntil(now); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		now += 100
-		if err := sys.Eng.RunUntil(now); err != nil {
+		if err := sys.EngOf(0).RunUntil(now); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -81,7 +81,7 @@ func startGate(t *testing.T, retire bool) (*System, *gateCPU) {
 	t.Helper()
 	sys, c := newGate(retire)
 	c.Start(Program{StoreRelaxed(memsys.Compose(0, 0, 0), 8)})
-	if err := sys.Eng.Run(); err != nil {
+	if err := sys.EngOf(0).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if c.execs != 1 || c.Done() {
@@ -94,7 +94,7 @@ func TestWakeWaitsForCondition(t *testing.T) {
 	for _, retire := range []bool{false, true} {
 		sys, c := startGate(t, retire)
 		const blocked = 40
-		sys.Eng.Schedule(blocked/2, func() {
+		sys.EngOf(0).Schedule(blocked/2, func() {
 			// Still closed: neither resumes nor charges.
 			c.Wake()
 			if c.execs != 1 || c.PS.TotalStall() != 0 {
@@ -102,12 +102,12 @@ func TestWakeWaitsForCondition(t *testing.T) {
 					retire, c.execs, c.PS.TotalStall())
 			}
 		})
-		sys.Eng.Schedule(blocked, func() {
+		sys.EngOf(0).Schedule(blocked, func() {
 			c.open = true
 			c.Wake()
 			c.Wake() // already resumed: a no-op
 		})
-		if err := sys.Eng.Run(); err != nil {
+		if err := sys.EngOf(0).Run(); err != nil {
 			t.Fatal(err)
 		}
 		// A retried op runs Exec again and passes its guard; a retired one

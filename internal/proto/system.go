@@ -50,17 +50,13 @@ func (m Mode) String() string {
 
 // System bundles the simulation substrate one protocol instance runs on.
 //
-// Single-host topologies run on one sim.Engine exactly as before. Multi-host
-// topologies are partitioned: one engine per host, advanced by a sim.Cluster
-// in conservative windows of the interconnect's lookahead, with the network
-// buffering cross-host messages between windows. Components therefore never
-// touch Eng/Obs directly for per-host work — they cache their host's engine
-// and recorder via EngOf/ObsOf (see ProcBase/DirBase.InitBase).
+// Every topology is partitioned: one engine per host, advanced by a
+// sim.Cluster in conservative windows of the interconnect's lookahead, with
+// the network buffering cross-host messages between windows. A single-host
+// system is the one-shard case. Components cache their host's engine and
+// recorder via EngOf/ObsOf (see ProcBase/DirBase.InitBase).
 type System struct {
-	// Eng is shard 0's engine — the sole engine when Hosts == 1, and the
-	// clock build-time (pre-run) code may schedule against either way.
-	Eng *sim.Engine
-	// Cluster is the windowed multi-engine scheduler; nil when Hosts == 1.
+	// Cluster is the windowed scheduler: one engine (shard) per host.
 	Cluster *sim.Cluster
 	// Workers bounds how many host shards execute a window concurrently
 	// (<= 1 means serial; results are identical for every value).
@@ -75,11 +71,11 @@ type System struct {
 	// event tracing and metrics with no overhead beyond nil checks.
 	Obs *obs.Recorder
 
-	// recs are Obs's per-shard children in a partitioned observed run,
-	// merged back into Obs at the end of Exec.
+	// recs are Obs's per-shard children in an observed run, merged back
+	// into Obs at the end of Exec.
 	recs []*obs.Recorder
-	// shardTraffic is the per-shard traffic matrix in a partitioned run,
-	// folded into Run.Traffic at the end of Exec.
+	// shardTraffic is the per-shard traffic matrix, folded into Run.Traffic
+	// at the end of Exec.
 	shardTraffic []stats.Traffic
 
 	// stores indexes every directory slice's LLC store, registered by
@@ -89,26 +85,19 @@ type System struct {
 	tiles int
 }
 
-// NewSystem wires an engine (or, for multi-host topologies, one engine per
-// host), network, and address map for the given interconnect configuration.
+// NewSystem wires one engine per host, the partitioned network, and the
+// address map for the given interconnect configuration.
 func NewSystem(seed int64, nc noc.Config, mode Mode) *System {
-	run := &stats.Run{}
 	s := &System{
-		Map:    memsys.NewMap(nc.Hosts, nc.TilesPerHost),
-		Timing: memsys.DefaultTiming(),
-		Mode:   mode,
-		Run:    run,
-		stores: make(map[noc.NodeID]*memsys.Store),
-		tiles:  nc.TilesPerHost,
+		Cluster:      sim.NewCluster(seed, nc.Hosts, nc.Lookahead()),
+		Map:          memsys.NewMap(nc.Hosts, nc.TilesPerHost),
+		Timing:       memsys.DefaultTiming(),
+		Mode:         mode,
+		Run:          &stats.Run{},
+		shardTraffic: make([]stats.Traffic, nc.Hosts),
+		stores:       make(map[noc.NodeID]*memsys.Store),
+		tiles:        nc.TilesPerHost,
 	}
-	if nc.Hosts <= 1 {
-		s.Eng = sim.NewEngine(seed)
-		s.Net = noc.New(s.Eng, nc, &run.Traffic)
-		return s
-	}
-	s.Cluster = sim.NewCluster(seed, nc.Hosts, nc.Lookahead())
-	s.Eng = s.Cluster.Engine(0)
-	s.shardTraffic = make([]stats.Traffic, nc.Hosts)
 	traffics := make([]*stats.Traffic, nc.Hosts)
 	for i := range traffics {
 		traffics[i] = &s.shardTraffic[i]
@@ -117,32 +106,21 @@ func NewSystem(seed int64, nc noc.Config, mode Mode) *System {
 	return s
 }
 
-// EngOf returns the engine that executes host's events: the host's shard in
-// a partitioned system, the sole engine otherwise.
-func (s *System) EngOf(host int) *sim.Engine {
-	if s.Cluster != nil {
-		return s.Cluster.Engine(host)
-	}
-	return s.Eng
-}
+// EngOf returns the engine that executes host's events: the host's shard.
+func (s *System) EngOf(host int) *sim.Engine { return s.Cluster.Engine(host) }
 
 // ObsOf returns the recorder host-resident components record into: the
-// host's shard child in an observed partitioned run, Obs otherwise (possibly
-// nil — all recorder methods are nil-safe).
+// host's shard child in an observed run, nil otherwise (all recorder methods
+// are nil-safe).
 func (s *System) ObsOf(host int) *obs.Recorder {
-	if s.recs != nil {
-		return s.recs[host]
+	if s.recs == nil {
+		return nil
 	}
-	return s.Obs
+	return s.recs[host]
 }
 
 // Executed sums the events fired across all engines.
-func (s *System) Executed() uint64 {
-	if s.Cluster != nil {
-		return s.Cluster.Executed()
-	}
-	return s.Eng.Executed()
-}
+func (s *System) Executed() uint64 { return s.Cluster.Executed() }
 
 // ReadMem reads the committed value of addr from its home directory slice's
 // LLC store. It is a post-run inspection hook (differential tests compare
@@ -158,21 +136,12 @@ func (s *System) ReadMem(a memsys.Addr) uint64 {
 
 // Observe attaches an observability recorder to the system: protocol engines
 // read their host's recorder (ObsOf), the network counts and traces every
-// message, and each simulation engine reports event-queue occupancy. In a
-// partitioned system the recorder is split into one lock-free child per host
-// shard; Exec merges them back deterministically. Call before Exec (protocol
-// builders cache per-host recorders at build time). A nil rec detaches.
+// message, and each simulation engine reports event-queue occupancy. The
+// recorder is split into one lock-free child per host shard; Exec merges
+// them back deterministically. Call before Exec (protocol builders cache
+// per-host recorders at build time). A nil rec detaches.
 func (s *System) Observe(rec *obs.Recorder) {
 	s.Obs = rec
-	if s.Cluster == nil {
-		s.Net.SetObserver(rec)
-		if rec != nil && rec.Metrics() != nil {
-			s.Eng.SetHook(func(_ sim.Time, pending int) { rec.EngineDepth(pending) })
-		} else {
-			s.Eng.SetHook(nil)
-		}
-		return
-	}
 	if rec == nil {
 		s.recs = nil
 		s.Net.SetObservers(nil)
@@ -193,25 +162,19 @@ func (s *System) Observe(rec *obs.Recorder) {
 }
 
 // AttachRuntime wires a simulator-runtime telemetry collector into the
-// partitioned scheduler: the cluster reports per-window shard timings and
-// steal counters at each barrier, the network reports the cross-host outbox
-// census at each flush. Reports false (and attaches nothing) on a
-// single-host system, which has no windows to observe. Unlike Observe, this
-// never touches the simulated machine: wall-clock telemetry stays out of the
-// deterministic trace/metrics/stats outputs by construction. A nil col
-// detaches.
-func (s *System) AttachRuntime(col *rt.Collector) bool {
-	if s.Cluster == nil {
-		return false
-	}
+// scheduler: the cluster reports per-window shard timings and steal counters
+// at each barrier, the network reports the cross-host outbox census at each
+// flush. Unlike Observe, this never touches the simulated machine:
+// wall-clock telemetry stays out of the deterministic trace/metrics/stats
+// outputs by construction. A nil col detaches.
+func (s *System) AttachRuntime(col *rt.Collector) {
 	if col == nil {
 		s.Cluster.SetWindowObserver(nil)
 		s.Net.SetFlushObserver(nil)
-		return true
+		return
 	}
 	s.Cluster.SetWindowObserver(col)
 	s.Net.SetFlushObserver(col)
-	return true
 }
 
 // Index is the dense index the core rules identify a core or directory by:
@@ -303,8 +266,8 @@ func ExecSources(sys *System, b Builder, cores []noc.NodeID, srcs []OpSource) (*
 }
 
 // run is the shared Exec/ExecSources driver: build the protocol, start every
-// core, advance the engine (or the partitioned cluster) to quiescence, fold
-// per-shard state, and collect completion.
+// core, advance the cluster to quiescence, fold per-shard state, and collect
+// completion.
 func run(sys *System, b Builder, cores []noc.NodeID, start func(CPU, int), stuck func(int) string) (*stats.Run, error) {
 	sys.Run.Procs = make([]stats.ProcStats, len(cores))
 	cpus := b.Build(sys, cores)
@@ -314,21 +277,15 @@ func run(sys *System, b Builder, cores []noc.NodeID, start func(CPU, int), stuck
 	for i, c := range cpus {
 		start(c, i)
 	}
-	if sys.Cluster == nil {
-		if err := sys.Eng.Run(); err != nil {
-			return nil, fmt.Errorf("proto: %s: %w", b.Name(), err)
-		}
-	} else {
-		if err := sys.Cluster.Run(sys.Workers, sys.Net); err != nil {
-			return nil, fmt.Errorf("proto: %s: %w", b.Name(), err)
-		}
-		for i := range sys.shardTraffic {
-			sys.Run.Traffic.Merge(&sys.shardTraffic[i])
-			sys.shardTraffic[i] = stats.Traffic{}
-		}
-		if sys.Obs != nil {
-			sys.Obs.MergeShards(sys.recs)
-		}
+	if err := sys.Cluster.Run(sys.Workers, sys.Net); err != nil {
+		return nil, fmt.Errorf("proto: %s: %w", b.Name(), err)
+	}
+	for i := range sys.shardTraffic {
+		sys.Run.Traffic.Merge(&sys.shardTraffic[i])
+		sys.shardTraffic[i] = stats.Traffic{}
+	}
+	if sys.Obs != nil {
+		sys.Obs.MergeShards(sys.recs)
 	}
 	var finish sim.Time
 	for i, c := range cpus {

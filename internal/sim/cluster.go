@@ -277,20 +277,8 @@ func (c *Cluster) runWindow(anchor, deadline Time, workers int) error {
 	}
 	if workers <= 1 {
 		for _, i := range c.active {
-			var s0 time.Duration
-			var e0 uint64
-			if tel {
-				s0 = time.Since(start)
-				e0 = c.engines[i].executed
-			}
-			if err := c.engines[i].RunUntil(deadline); err != nil {
+			if err := c.runShard(i, start, tel, deadline); err != nil {
 				return fmt.Errorf("sim: shard %d: %w", i, err)
-			}
-			if tel {
-				d := time.Since(start)
-				c.rec.ShardStartNs[i] = s0.Nanoseconds()
-				c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
-				c.rec.ShardEvents[i] = c.engines[i].executed - e0
 			}
 		}
 		c.observeWindow(tel, start, anchor, deadline, workers)
@@ -334,21 +322,7 @@ func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, wo
 				// the serial window loop's 0 allocs/op.
 				pprof.Do(context.Background(),
 					pprof.Labels("cord_shard", c.labels[i], "cord_worker", c.labels[w]),
-					func(context.Context) {
-						var s0 time.Duration
-						var e0 uint64
-						if tel {
-							s0 = time.Since(start)
-							e0 = c.engines[i].executed
-						}
-						c.errs[i] = c.engines[i].RunUntil(deadline)
-						if tel {
-							d := time.Since(start)
-							c.rec.ShardStartNs[i] = s0.Nanoseconds()
-							c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
-							c.rec.ShardEvents[i] = c.engines[i].executed - e0
-						}
-					})
+					func(context.Context) { c.errs[i] = c.runShard(i, start, tel, deadline) })
 			}
 			if tel {
 				c.stealAttempts.Add(attempts)
@@ -363,6 +337,24 @@ func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, wo
 		}
 	}
 	return nil
+}
+
+// runShard advances shard i to deadline and, with telemetry on, fills its
+// row of the window record: start lag and busy time against the window's
+// wall-clock base, and the events it retired. Each shard writes only its own
+// row, so parallel workers need no synchronization.
+func (c *Cluster) runShard(i int, start time.Time, tel bool, deadline Time) error {
+	e := c.engines[i]
+	if !tel {
+		return e.RunUntil(deadline)
+	}
+	s0, e0 := time.Since(start), e.executed
+	err := e.RunUntil(deadline)
+	d := time.Since(start)
+	c.rec.ShardStartNs[i] = s0.Nanoseconds()
+	c.rec.ShardBusyNs[i] = (d - s0).Nanoseconds()
+	c.rec.ShardEvents[i] = e.executed - e0
+	return err
 }
 
 // observeWindow finalizes and delivers the window's telemetry record. Runs

@@ -96,10 +96,9 @@ type slot struct {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	now Time
+	seq uint64
+	rng *rand.Rand
 
 	// Timing wheel: per-cycle FIFO chains of slot indices for events with
 	// at in [wheelTime, wheelTime+wheelSize). occupied is the non-empty
@@ -381,9 +380,6 @@ func (e *Engine) NextAt() (Time, bool) {
 	return e.peek(), true
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetHook installs an observer invoked before each executed event with the
 // current time and the number of still-queued events. Pass nil to disable.
 // The hook must not schedule or mutate engine state; it exists so the
@@ -423,12 +419,10 @@ func (e *Engine) advance(at Time) {
 	}
 }
 
-// Run executes events until the queue drains, Stop is called, or MaxEvents
-// is exceeded. It returns an error only on the event-budget guard; a drained
+// Run executes events until the queue drains or MaxEvents is exceeded. It returns an error only on the event-budget guard; a drained
 // queue is the normal termination condition.
 func (e *Engine) Run() error {
-	e.stopped = false
-	for e.nearCount+len(e.heap) > 0 && !e.stopped {
+	for e.nearCount+len(e.heap) > 0 {
 		at, idx := e.pop()
 		e.advance(at)
 		e.executed++
@@ -446,8 +440,7 @@ func (e *Engine) Run() error {
 // RunUntil executes events with timestamps <= deadline, leaving later events
 // queued, and advances the clock to deadline if the queue drains early.
 func (e *Engine) RunUntil(deadline Time) error {
-	e.stopped = false
-	for e.nearCount+len(e.heap) > 0 && !e.stopped {
+	for e.nearCount+len(e.heap) > 0 {
 		if e.peek() > deadline {
 			break
 		}

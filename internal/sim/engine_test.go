@@ -55,22 +55,6 @@ func TestScheduleAtPastPanics(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the loop)", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time

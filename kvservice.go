@@ -90,8 +90,7 @@ func simulateKV(w KVService, p Protocol, s System, rec *obs.Recorder, col *rt.Co
 	if err != nil {
 		return nil, err
 	}
-	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
+	sys := s.newSystem(nc)
 	if rec != nil {
 		sys.Observe(rec)
 	}

@@ -22,10 +22,9 @@ type TraceOptions struct {
 	// way so /metrics can scrape a run in flight.
 	Recorder *obs.Recorder
 	// Runtime, when non-nil, collects simulator-runtime telemetry (per-shard
-	// window timings, steal counters, cross-host merge census) for
-	// partitioned multi-host runs. It rides a channel of its own: attaching
-	// it never changes the deterministic trace/metrics/stats bytes. Ignored
-	// on single-host systems, which have no parallel runtime to observe.
+	// window timings, steal counters, cross-host merge census). It rides a
+	// channel of its own: attaching it never changes the deterministic
+	// trace/metrics/stats bytes.
 	Runtime *rt.Collector
 }
 
@@ -115,8 +114,7 @@ func SimulateObserved(w Workload, p Protocol, s System, opt TraceOptions) (*Resu
 		}
 		rec.SetSample(opt.Sample)
 	}
-	sys := proto.NewSystem(s.Seed, nc, s.mode())
-	sys.Workers = s.SimWorkers
+	sys := s.newSystem(nc)
 	sys.Observe(rec)
 	if opt.Runtime != nil {
 		sys.AttachRuntime(opt.Runtime)

@@ -95,7 +95,7 @@ func SimulateProgram(progs map[CoreRef]Program, p Protocol, s System) (*Result, 
 		cores[i] = noc.CoreID(r.Host, r.Core)
 		ps[i] = progs[r]
 	}
-	sys := proto.NewSystem(s.Seed, nc, s.mode())
+	sys := s.newSystem(nc)
 	run, err := proto.Exec(sys, b, cores, ps)
 	if err != nil {
 		return nil, err

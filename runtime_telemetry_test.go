@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cord/internal/exp"
+	"cord/internal/noc"
 	rt "cord/internal/obs/runtime"
 	"cord/internal/proto"
 )
@@ -162,19 +163,36 @@ func TestRuntimeChromeTrackOptIn(t *testing.T) {
 	checkJSON(t, "runtime chrome trace", withRT.Bytes())
 }
 
-// TestSingleHostRuntimeNoop: a single-host system has no cluster, so
-// attaching a collector must report failure and leave it empty rather than
-// lying about windows that never ran.
-func TestSingleHostRuntimeNoop(t *testing.T) {
+// TestSingleHostTelemetryWindows: a single-host system is a one-shard
+// cluster, so a collector attached to it observes real windows, and the
+// per-shard event counts account for every event the run executed.
+func TestSingleHostTelemetryWindows(t *testing.T) {
 	nc := exp.NetConfig(exp.CXL)
 	nc.Hosts = 1
 	sys := proto.NewSystem(1, nc, proto.RC)
 	col := rt.NewCollector(1)
-	if sys.AttachRuntime(col) {
-		t.Fatal("AttachRuntime reported success on a single-host system")
+	sys.AttachRuntime(col)
+	b, err := builder(CORD)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := col.Windows(); w != 0 {
-		t.Fatalf("unattached collector recorded %d windows", w)
+	flag := ComposeAddr(0, 3, 0)
+	prod := Program{StoreRelaxed(ComposeAddr(0, 1, 0), 64), StoreRelease(flag, 8, 1)}
+	cons := Program{AcquireLoad(flag, 1), ComputeOp(20)}
+	cores := []noc.NodeID{noc.CoreID(0, 0), noc.CoreID(0, 5)}
+	if _, err := proto.Exec(sys, b, cores, []Program{prod, cons}); err != nil {
+		t.Fatal(err)
+	}
+	rep := col.Snapshot()
+	if rep.Totals.Windows == 0 {
+		t.Fatal("single-host run recorded no windows")
+	}
+	var events uint64
+	for _, s := range rep.PerShard {
+		events += s.Events
+	}
+	if events == 0 || events != sys.Executed() {
+		t.Fatalf("per-shard events sum to %d, system executed %d", events, sys.Executed())
 	}
 }
 

@@ -52,7 +52,7 @@ func SimulateTrace(t *Trace, p Protocol, s System) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := proto.NewSystem(s.Seed, nc, s.mode())
+	sys := s.newSystem(nc)
 	run, err := proto.Exec(sys, b, t.Cores, t.Progs)
 	if err != nil {
 		return nil, err
