@@ -91,7 +91,7 @@ func Run(p workload.Pattern, b proto.Builder, nc noc.Config, mode proto.Mode, se
 // whole simulation (nil behaves exactly like Run).
 func RunObserved(p workload.Pattern, b proto.Builder, nc noc.Config, mode proto.Mode,
 	seed int64, rec *obs.Recorder) (*stats.Run, error) {
-	cores, progs, err := p.Programs(nc)
+	cores, srcs, err := p.Sources(nc)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func RunObserved(p workload.Pattern, b proto.Builder, nc noc.Config, mode proto.
 	if rec != nil {
 		sys.Observe(rec)
 	}
-	r, err := proto.Exec(sys, b, cores, progs)
+	r, err := proto.ExecSources(sys, b, cores, srcs)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s under %s: %w", p.Name, b.Name(), err)
 	}

@@ -7,6 +7,7 @@ import (
 	"cord/internal/noc"
 	"cord/internal/proto"
 	"cord/internal/proto/so"
+	"cord/internal/workload"
 )
 
 // marginalAllocs is the steady-state allocation count per op of running the
@@ -67,4 +68,36 @@ func TestRoundTripAllocs(t *testing.T) {
 			t.Fatalf("SO store->ack: %.2f allocs per round trip, want <= 1", got)
 		}
 	})
+}
+
+// TestPatternSourceZeroAlloc extends TestProgramSourceZeroAlloc to the
+// streaming workload sources: draining a pattern rank's source, round
+// refills included, never allocates.
+func TestPatternSourceZeroAlloc(t *testing.T) {
+	p, err := workload.App("CMC-2D") // sampled sizes: rounds differ in length
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	srcs := make([]proto.OpSource, runs+1)
+	for i := range srcs {
+		_, s, err := p.Sources(noc.CXLConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = s[0]
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		src := srcs[i]
+		i++
+		for {
+			if _, ok := src.Next(0); !ok {
+				return
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pattern source Next allocated %.1f times per drain, want 0", allocs)
+	}
 }
