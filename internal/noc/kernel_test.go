@@ -96,6 +96,33 @@ func TestPartitionedMatchesSingleEngineTiming(t *testing.T) {
 	}
 }
 
+// TestCrossHostSendBeforeRunDelivered is the regression test for the
+// pre-run trap: a cross-host send made before Cluster.Run, while every
+// engine is still empty, sits only in an outbox. Run must still deliver it,
+// at send time + latency + serialization, at every worker count.
+func TestCrossHostSendBeforeRunDelivered(t *testing.T) {
+	cfg := CXLConfig()
+	cfg.JitterCycles = 0
+	src, dst := CoreID(0, 0), DirID(1, 3)
+	const bytes = 64
+	for _, workers := range []int{1, 2} {
+		n := newTestNet(cfg, 1)
+		var got sim.Time
+		delivered := 0
+		n.Register(dst, func(_ NodeID, _ any) { got, delivered = n.now(1), delivered+1 })
+		n.Send(src, dst, stats.ClassRelaxedData, bytes, "m")
+		if err := n.cl.Run(workers, n.Network); err != nil {
+			t.Fatal(err)
+		}
+		if delivered != 1 {
+			t.Fatalf("workers=%d: pre-run cross-host send delivered %d times, want 1", workers, delivered)
+		}
+		if want := n.Latency(src, dst) + n.serialization(bytes); got != want {
+			t.Fatalf("workers=%d: delivered at cycle %d, want %d", workers, got, want)
+		}
+	}
+}
+
 // TestPackIDRoundTrip covers the packed source word the monomorphic delivery
 // events carry.
 func TestPackIDRoundTrip(t *testing.T) {

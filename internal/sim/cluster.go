@@ -221,6 +221,13 @@ func (c *Cluster) Run(workers int, ex Exchanger) error {
 		workers = 1
 	}
 	buffered, bufEarliest := 0, Time(0)
+	if ex != nil {
+		// Initial census: a cross-shard send made before Run sits in an
+		// outbox, and with every engine empty nothing else would anchor a
+		// window on it. Horizon 0 injects only messages due at cycle 0,
+		// which the first window would inject anyway.
+		buffered, bufEarliest = c.flush(ex, 0)
+	}
 	for {
 		t, ok := c.earliest()
 		if buffered > 0 && (!ok || bufEarliest < t) {
