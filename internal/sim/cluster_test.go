@@ -300,17 +300,19 @@ func BenchmarkClusterWindowParallel(b *testing.B) {
 func benchCluster(b *testing.B, workers int) {
 	const shards = 8
 	c := NewCluster(1, shards, Time(300))
-	lcg := uint64(0x9E3779B97F4A7C15)
-	next := func() Time {
-		lcg = lcg*6364136223846793005 + 1442695040888963407
-		return 1 + Time(lcg>>58)
-	}
-	stop := false
+	// Each shard owns its generator and stop flag: shards run concurrently
+	// within a window, so anything they share would race.
+	stop := make([]bool, shards)
 	for s := 0; s < shards; s++ {
 		eng := c.Engine(s)
+		lcg := uint64(0x9E3779B97F4A7C15) + uint64(s)
+		next := func() Time {
+			lcg = lcg*6364136223846793005 + 1442695040888963407
+			return 1 + Time(lcg>>58)
+		}
 		var tick func()
 		tick = func() {
-			if !stop {
+			if !stop[s] {
 				eng.Schedule(next(), tick)
 			}
 		}
@@ -334,6 +336,8 @@ func benchCluster(b *testing.B, workers int) {
 		}
 	}
 	b.StopTimer()
-	stop = true
+	for s := range stop {
+		stop[s] = true
+	}
 	_ = c.Run(1, nil)
 }
