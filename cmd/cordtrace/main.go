@@ -8,6 +8,7 @@
 //	analyze   trace.jsonl             per-core attribution + machine breakdown
 //	top       [-k 10] trace.jsonl     slowest releases with per-segment latency
 //	diff      a.jsonl b.jsonl         per-class traffic delta between two runs
+//	first-diff a.jsonl b.jsonl        first diverging event of two traces
 //	breakdown trace.jsonl...          Fig. 2-style breakdown row per trace
 //	requests  trace.jsonl             service-level request latency per class
 //	                                  (kvsvc runs; aggregates req-done events)
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +39,8 @@ commands:
   analyze   trace.jsonl        per-core time attribution and machine breakdown
   top       trace.jsonl        slowest releases on the critical path (-k N)
   diff      a.jsonl b.jsonl    per-class traffic delta between two traces
+  first-diff a.jsonl b.jsonl   index and both sides of the first diverging
+                               event (exit status 1 when the traces differ)
   breakdown trace.jsonl...     compute/stall/traffic breakdown per trace
   requests  trace.jsonl        service-level request latency per class (kvsvc)
   scaling   report.json        parallel efficiency + lost-speedup attribution
@@ -62,6 +66,8 @@ func main() {
 		err = cmdTop(args)
 	case "diff":
 		err = cmdDiff(args)
+	case "first-diff":
+		err = cmdFirstDiff(args, os.Stdout)
 	case "breakdown":
 		err = cmdBreakdown(args)
 	case "requests":
@@ -133,6 +139,31 @@ func cmdAnalyze(args []string) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// errTracesDiffer makes first-diff exit non-zero, as diff(1) does.
+var errTracesDiffer = errors.New("traces differ")
+
+// cmdFirstDiff names the first event where two traces diverge, the way the
+// determinism tests report a divergence.
+func cmdFirstDiff(args []string, w io.Writer) error {
+	if len(args) != 2 {
+		return fmt.Errorf("first-diff wants exactly two traces, got %d", len(args))
+	}
+	a, err := loadTrace(args[0])
+	if err != nil {
+		return err
+	}
+	b, err := loadTrace(args[1])
+	if err != nil {
+		return err
+	}
+	if d := obs.FirstDiff(a, b); d != "" {
+		fmt.Fprintln(w, d)
+		return errTracesDiffer
+	}
+	fmt.Fprintf(w, "identical: %d events\n", len(a))
 	return nil
 }
 

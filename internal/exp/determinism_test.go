@@ -27,24 +27,6 @@ func runObserved(t *testing.T, s Scheme, seed int64) (*stats.Run, []obs.Event) {
 	return r, rec.Events()
 }
 
-// diffEvents returns a description of the first divergent event, or "" when
-// the streams are identical.
-func diffEvents(a, b []obs.Event) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return fmt.Sprintf("first divergence at event %d:\n  run1: %+v\n  run2: %+v", i, a[i], b[i])
-		}
-	}
-	if len(a) != len(b) {
-		return fmt.Sprintf("event counts differ: %d vs %d (first %d identical)", len(a), len(b), n)
-	}
-	return ""
-}
-
 // TestDeterminismAcrossRuns runs every scheme twice on the same seed and
 // requires bit-identical statistics and bit-identical observability event
 // streams. A failure pinpoints the first divergent event, which is how a
@@ -65,7 +47,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			if len(e1) == 0 {
 				t.Fatal("vacuous: no events recorded")
 			}
-			if d := diffEvents(e1, e2); d != "" {
+			if d := obs.FirstDiff(e1, e2); d != "" {
 				t.Errorf("event streams diverged under %s:\n%s", s, d)
 			}
 		})

@@ -159,6 +159,22 @@ type MemSink struct {
 // Record implements Sink.
 func (s *MemSink) Record(ev Event) { s.Events = append(s.Events, ev) }
 
+// FirstDiff describes where two event streams first diverge: the index and
+// both sides of the first differing event, or the count mismatch when one
+// stream is a prefix of the other. It returns "" for identical streams.
+func FirstDiff(a, b []Event) string {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("first divergence at event %d:\n  a: %+v\n  b: %+v", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("event counts differ: %d vs %d (first %d identical)", len(a), len(b), n)
+	}
+	return ""
+}
+
 // Recorder is the observability handle threaded through the simulator. A nil
 // *Recorder is the disabled state: every method short-circuits without
 // touching memory, so the hot paths pay one predictable branch.
