@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"cord"
+	rt "cord/internal/obs/runtime"
 )
 
 // kvFlags carries the -kv-* knobs from main into the KV-service runner.
@@ -75,9 +76,10 @@ func scale(base cord.KVService, mult float64) cord.KVService {
 // throughput-vs-offered-load curve with the request-latency tail. With
 // -compare all four protocols run; otherwise only -proto does. When exactly
 // one (protocol, load) point runs, -trace-out/-metrics-out export its event
-// stream and metrics (analyze the stream with `cordtrace requests`).
+// stream and metrics (analyze the stream with `cordtrace requests`) and
+// -runtime-report its simulator-runtime telemetry.
 func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64,
-	traceOut, metricsOut string, traceSample int) {
+	traceOut, metricsOut, runtimeOut string, traceSample int) {
 	loads, err := parseLoads(f.loads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -88,10 +90,15 @@ func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64
 	if compare {
 		protocols = cord.Protocols()
 	}
-	observe := (traceOut != "" || metricsOut != "") && len(protocols) == 1 && len(loads) == 1
-	if (traceOut != "" || metricsOut != "") && !observe {
-		fmt.Fprintln(os.Stderr, "cordsim: -trace-out/-metrics-out need a single kvsvc point; drop -compare and pass one -kv-loads value")
+	exports := traceOut != "" || metricsOut != "" || runtimeOut != ""
+	observe := exports && len(protocols) == 1 && len(loads) == 1
+	if exports && !observe {
+		fmt.Fprintln(os.Stderr, "cordsim: -trace-out/-metrics-out/-runtime-report need a single kvsvc point; drop -compare and pass one -kv-loads value")
 		os.Exit(1)
+	}
+	var col *rt.Collector
+	if runtimeOut != "" {
+		col = rt.NewCollector(sys.Hosts)
 	}
 	mode := "closed"
 	if base.OpenLoop {
@@ -109,7 +116,7 @@ func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64
 				err error
 			)
 			if observe {
-				opt := cord.TraceOptions{Sample: traceSample, MetricsOnly: traceOut == ""}
+				opt := cord.TraceOptions{Sample: traceSample, MetricsOnly: traceOut == "", Runtime: col}
 				r, o, err = cord.SimulateKVObserved(scale(base, mult), proto, sys, opt)
 			} else {
 				r, err = cord.SimulateKV(scale(base, mult), proto, sys)
@@ -124,7 +131,10 @@ func runKV(f kvFlags, p cord.Protocol, sys cord.System, compare bool, seed int64
 				proto, mult, r.OfferedRequestsPerSecond(), r.RequestsPerSecond(),
 				p50, p95, p99, g, pu)
 			if o != nil {
-				writeObservation(o, traceOut, metricsOut, nil)
+				writeObservation(o, traceOut, metricsOut, col)
+			}
+			if runtimeOut != "" {
+				writeRuntimeReport(runtimeOut, col)
 			}
 		}
 	}

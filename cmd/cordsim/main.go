@@ -87,12 +87,16 @@ func main() {
 		return
 	}
 	if strings.ToLower(*name) == "kvsvc" {
+		if *httpAddr != "" || *progressF {
+			fmt.Fprintln(os.Stderr, "cordsim: -http and -progress are not supported with -workload kvsvc")
+			os.Exit(1)
+		}
 		runKV(kvFlags{
 			clients: *kvClients, requests: *kvReqs, getPct: *kvGetPct,
 			valueBytes: *kvValue, shards: *kvShards, servers: *kvServers,
 			think: *kvThink, arrival: *kvArrival, loads: *kvLoads,
 		}, cord.Protocol(strings.ToUpper(*protoF)), sys, *compare, *seed,
-			*traceOut, *metricsOut, *traceSample)
+			*traceOut, *metricsOut, *runtimeOut, *traceSample)
 		return
 	}
 
@@ -276,9 +280,7 @@ func main() {
 		writeObservation(o, *traceOut, *metricsOut, col)
 	}
 	if *runtimeOut != "" {
-		writeFile(*runtimeOut, func(w io.Writer) error { return col.Snapshot().WriteJSON(w) })
-		fmt.Printf("runtime report written to %s (analyze with: cordtrace scaling %s)\n",
-			*runtimeOut, *runtimeOut)
+		writeRuntimeReport(*runtimeOut, col)
 	}
 	fmt.Printf("workload          %s\n", w.Name)
 	fmt.Printf("protocol          %s (%s, %s)\n", strings.ToUpper(*protoF), *fabric, model(*tso))
@@ -315,6 +317,12 @@ func writeFile(path string, fn func(w io.Writer) error) {
 		os.Exit(1)
 	}
 	f.Close()
+}
+
+// writeRuntimeReport writes the collector's simulator-runtime report as JSON.
+func writeRuntimeReport(path string, col *rt.Collector) {
+	writeFile(path, func(w io.Writer) error { return col.Snapshot().WriteJSON(w) })
+	fmt.Printf("runtime report written to %s (analyze with: cordtrace scaling %s)\n", path, path)
 }
 
 // writeObservation exports the recorded events (Chrome trace + JSONL) and the

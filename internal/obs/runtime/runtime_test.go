@@ -353,6 +353,56 @@ func TestClusterTelemetryZeroAllocSerial(t *testing.T) {
 	}
 }
 
+// TestClusterParallelWindowsZeroAlloc guards the parallel window loop: a
+// 2-worker Run pays a fixed cost to start and stop its worker pool, and
+// nothing per window, so 4N windows allocate exactly what N windows do,
+// bare and with a live Collector.
+func TestClusterParallelWindowsZeroAlloc(t *testing.T) {
+	const shards, width, n = 4, 16, 64
+	for _, withCollector := range []bool{false, true} {
+		c := sim.NewCluster(5, shards, width)
+		col := rt.NewCollector(shards)
+		if withCollector {
+			c.SetWindowObserver(col)
+		}
+		// One event per shard per window: each tick reschedules itself one
+		// window width later until its shard's budget runs out.
+		remaining := make([]int, shards)
+		ticks := make([]func(), shards)
+		for s := range ticks {
+			eng := c.Engine(s)
+			ticks[s] = func() {
+				if remaining[s] > 0 {
+					remaining[s]--
+					eng.Schedule(width, ticks[s])
+				}
+			}
+		}
+		run := func(windows int) func() {
+			return func() {
+				for s := range ticks {
+					remaining[s] = windows - 1
+					c.Engine(s).Schedule(1, ticks[s])
+				}
+				if err := c.Run(2, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := col.Windows()
+		run(n)()
+		if withCollector && col.Windows()-before != n {
+			t.Fatalf("collector saw %d windows, want %d", col.Windows()-before, n)
+		}
+		short := testing.AllocsPerRun(20, run(n))
+		long := testing.AllocsPerRun(20, run(4*n))
+		if long != short {
+			t.Errorf("collector=%v: %d windows allocate %.0f per Run, %d windows %.0f (%.3f per extra window), want equal",
+				withCollector, n, short, 4*n, long, (long-short)/(3*n))
+		}
+	}
+}
+
 func BenchmarkRuntimeTelemetryObserveWindow(b *testing.B) {
 	col := rt.NewCollector(8)
 	starts := []int64{0, 1, 2, 3, 4, 5, 6, 7}

@@ -105,12 +105,17 @@ type Cluster struct {
 	stealAttempts atomic.Uint64
 	stealHits     atomic.Uint64
 
-	// labels[i] is the pprof label value for shard i and for worker i on the
-	// parallel window path, so -http CPU profiles attribute samples per
-	// shard/worker (a window never runs more workers than shards). Built in
-	// NewCluster because workers read it concurrently. The serial path never
-	// labels (it would cost allocations on the 0 allocs/op window loop).
-	labels []string
+	// Persistent window workers, alive only inside a parallel Run. The
+	// calling goroutine is worker 0; wake[w-1] parks helper w between
+	// windows. A window publishes its parameters (winStart, winDeadline,
+	// the next cursor) before waking helpers, and busy counts the woken
+	// helpers still claiming shards; exited counts live helpers.
+	wake        []chan struct{}
+	busy        sync.WaitGroup
+	exited      sync.WaitGroup
+	next        atomic.Int64
+	winStart    time.Time
+	winDeadline Time
 }
 
 // seedFor derives shard i's engine seed from the base seed (splitmix-style
@@ -135,11 +140,9 @@ func NewCluster(seed int64, shards int, window Time) *Cluster {
 		window:  window,
 		active:  make([]int, 0, shards),
 		errs:    make([]error, shards),
-		labels:  make([]string, shards),
 	}
 	for i := range c.engines {
 		c.engines[i] = NewEngine(seedFor(seed, i))
-		c.labels[i] = strconv.Itoa(i)
 	}
 	return c
 }
@@ -215,10 +218,19 @@ func (c *Cluster) flush(ex Exchanger, horizon Time) (int, Time) {
 // global minimum pending timestamp, a Flush barrier before each window, and
 // up to workers shards running their window concurrently. It returns the
 // first (lowest-shard) engine error, typically the MaxEvents guard. A nil
-// Exchanger is valid for workloads with no cross-shard traffic.
+// Exchanger is valid for workloads with no cross-shard traffic. With more
+// than one worker, Run starts min(workers, shards)-1 helper goroutines before
+// its first window and stops them before it returns.
 func (c *Cluster) Run(workers int, ex Exchanger) error {
 	if workers < 1 {
 		workers = 1
+	}
+	if workers > len(c.engines) {
+		workers = len(c.engines)
+	}
+	if workers > 1 {
+		c.startWorkers(workers - 1)
+		defer c.stopWorkers()
 	}
 	buffered, bufEarliest := 0, Time(0)
 	if ex != nil {
@@ -291,59 +303,89 @@ func (c *Cluster) runWindow(anchor, deadline Time, workers int) error {
 		c.observeWindow(tel, start, anchor, deadline, workers)
 		return nil
 	}
-	// The parallel loop lives in its own method: its goroutine closures
-	// capture the wall-clock base, and sharing a frame with the serial path
-	// above would make that base escape to the heap — one allocation per
-	// window even at one worker, breaking the serial 0 allocs/op guarantee.
-	if err := c.runShardsParallel(start, tel, deadline, workers); err != nil {
+	if err := c.runShardsParallel(start, deadline, workers); err != nil {
 		return err
 	}
 	c.observeWindow(tel, start, anchor, deadline, workers)
 	return nil
 }
 
-// runShardsParallel executes the active shards on workers goroutines claiming
-// shards off a shared atomic cursor.
-func (c *Cluster) runShardsParallel(start time.Time, tel bool, deadline Time, workers int) error {
-	// The goroutines read the shard list through the receiver: capturing a
-	// local slice header would cost an extra heap move per window.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var attempts, hits uint64
-			for {
-				k := int(next.Add(1)) - 1
-				attempts++
-				if k >= len(c.active) {
-					break
-				}
-				hits++
-				i := c.active[k]
-				// Label the shard's execution so CPU profiles (-http
-				// /debug/pprof/profile) attribute samples per shard and
-				// worker. Parallel path only: pprof.Do allocates per call,
-				// which is noise next to a goroutine spawn but would break
-				// the serial window loop's 0 allocs/op.
-				pprof.Do(context.Background(),
-					pprof.Labels("cord_shard", c.labels[i], "cord_worker", c.labels[w]),
-					func(context.Context) { c.errs[i] = c.runShard(i, start, tel, deadline) })
-			}
-			if tel {
-				c.stealAttempts.Add(attempts)
-				c.stealHits.Add(hits)
-			}
-		}(w)
+// runShardsParallel executes the active shards on worker 0 (the calling
+// goroutine) and workers-1 pool helpers, all claiming shards off a shared
+// atomic cursor: a helper that wakes late finds fewer shards left, so its
+// wake-up latency stays off the window's critical path.
+func (c *Cluster) runShardsParallel(start time.Time, deadline Time, workers int) error {
+	c.winStart, c.winDeadline = start, deadline
+	c.next.Store(0)
+	c.busy.Add(workers - 1)
+	for _, wake := range c.wake[:workers-1] {
+		wake <- struct{}{}
 	}
-	wg.Wait()
+	c.claimShards()
+	c.busy.Wait()
 	for _, i := range c.active {
 		if err := c.errs[i]; err != nil {
 			return fmt.Errorf("sim: shard %d: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// claimShards runs shards claimed off the window's cursor until none are
+// left. Claim counts stay worker-local and are folded into the steal
+// counters once per worker per window.
+func (c *Cluster) claimShards() {
+	tel := c.wobs != nil
+	var attempts, hits uint64
+	for {
+		k := int(c.next.Add(1)) - 1
+		attempts++
+		if k >= len(c.active) {
+			break
+		}
+		hits++
+		i := c.active[k]
+		c.errs[i] = c.runShard(i, c.winStart, tel, c.winDeadline)
+	}
+	if tel {
+		c.stealAttempts.Add(attempts)
+		c.stealHits.Add(hits)
+	}
+}
+
+// startWorkers starts n pool helpers, numbered 1..n. Each labels itself
+// once, cord_worker=<w>, so CPU profiles attribute samples per worker;
+// worker 0 keeps its caller's labels.
+func (c *Cluster) startWorkers(n int) {
+	c.wake = make([]chan struct{}, n)
+	for k := range c.wake {
+		// One slot: the wake token is sent only after the helper's previous
+		// window was waited for, so the send never blocks worker 0.
+		c.wake[k] = make(chan struct{}, 1)
+		c.exited.Add(1)
+		go c.worker(k+1, c.wake[k])
+	}
+}
+
+// worker is helper w's loop: one claim pass per wake token, until
+// stopWorkers closes wake.
+func (c *Cluster) worker(w int, wake <-chan struct{}) {
+	defer c.exited.Done()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("cord_worker", strconv.Itoa(w))))
+	for range wake {
+		c.claimShards()
+		c.busy.Done()
+	}
+}
+
+// stopWorkers releases the helpers and waits until each has left its loop.
+func (c *Cluster) stopWorkers() {
+	for _, wake := range c.wake {
+		close(wake)
+	}
+	c.exited.Wait()
+	c.wake = nil
 }
 
 // runShard advances shard i to deadline and, with telemetry on, fills its

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // chanExchanger is a minimal Exchanger for cluster tests that mirrors the
@@ -190,6 +192,83 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// settledGoroutines polls until at most want goroutines remain, since a
+// helper counts until it has fully exited after signalling; it returns the
+// last count seen.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestClusterRunLeavesNoGoroutines(t *testing.T) {
+	// Run's worker pool must be gone when Run returns, on normal
+	// completion and when a shard trips the MaxEvents guard mid-run.
+	for _, workers := range []int{2, 4} {
+		for _, runaway := range []bool{false, true} {
+			const shards = 4
+			c := NewCluster(13, shards, Time(10))
+			for s := 0; s < shards; s++ {
+				eng, rounds := c.Engine(s), 0
+				var tick func()
+				tick = func() {
+					if rounds++; rounds < 50 || runaway && s == 1 {
+						eng.Schedule(Time(1+s), tick)
+					}
+				}
+				eng.Schedule(1, tick)
+			}
+			if runaway {
+				c.SetMaxEvents(200)
+			}
+			base := runtime.NumGoroutine()
+			if err := c.Run(workers, nil); (err != nil) != runaway {
+				t.Fatalf("workers=%d runaway=%v: Run error %v", workers, runaway, err)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("workers=%d runaway=%v: %d goroutines after Run, %d before",
+					workers, runaway, n, base)
+			}
+		}
+	}
+}
+
+func TestClusterPoolClampedToShards(t *testing.T) {
+	// The pool never outnumbers the shards: 4 shards at 64 workers run on
+	// the caller plus 3 helpers.
+	const shards = 4
+	c := NewCluster(17, shards, Time(10))
+	peak := make([]int, shards) // written only by shard s's events
+	for s := 0; s < shards; s++ {
+		eng, rounds := c.Engine(s), 0
+		var tick func()
+		tick = func() {
+			if n := runtime.NumGoroutine(); n > peak[s] {
+				peak[s] = n
+			}
+			if rounds++; rounds < 20 {
+				eng.Schedule(Time(2+s), tick)
+			}
+		}
+		eng.Schedule(1, tick)
+	}
+	base := runtime.NumGoroutine()
+	if err := c.Run(64, nil); err != nil {
+		t.Fatal(err)
+	}
+	for s, n := range peak {
+		if n-base > shards-1 {
+			t.Fatalf("shard %d saw %d goroutines above the baseline, want at most %d",
+				s, n-base, shards-1)
+		}
+	}
+}
+
 // windowCapture records every WindowRecord it observes (copying the
 // cluster-owned slices, as the contract requires).
 type windowCapture struct {
@@ -290,9 +369,10 @@ func BenchmarkClusterWindowSerial(b *testing.B) {
 	benchCluster(b, 1)
 }
 
-// BenchmarkClusterWindowParallel is the same at 8 workers. On a single-core
-// machine this measures goroutine hand-off overhead, not speedup; see
-// BENCH_kernel.json's parallel rows (recorded with num_cpu) for throughput.
+// BenchmarkClusterWindowParallel is the same at 8 workers, on the persistent
+// worker pool. With fewer CPUs than workers it measures the wake-and-wait
+// hand-off, not speedup; cordperf's kv-open workload measures the parallel
+// engine end to end.
 func BenchmarkClusterWindowParallel(b *testing.B) {
 	benchCluster(b, 8)
 }
@@ -319,6 +399,12 @@ func benchCluster(b *testing.B, workers int) {
 		for i := 0; i < 128; i++ {
 			eng.Schedule(next(), tick)
 		}
+	}
+	// The benchmark drives runWindow directly, so it owns the worker pool
+	// that Run would start.
+	if workers > 1 {
+		c.startWorkers(workers - 1)
+		defer c.stopWorkers()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
